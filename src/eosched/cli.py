@@ -17,7 +17,10 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .dmrc import SolverParams
 from .errors import ConfigError, EoschedError, ParameterError, PlanFormatError
@@ -45,20 +48,42 @@ _NETWORK_KEYS = (
 _CHANNEL_KEYS = ("obs_support", "obs_probs", "trans_support", "trans_probs")
 _OTHER_KEYS = ("plan_file", "plan_synthetic", "solver", "seeds", "output_dir")
 
-PER_SLOT_HEADER = (
+
+def _columns(header: str, **renamed) -> tuple:
+    """An output file's schema as (CSV column, source field) pairs; a
+    column reads the field of its own name unless ``renamed`` maps it."""
+    return tuple((column, renamed.get(column, column)) for column in header.split(","))
+
+
+# Per-slot fields are MetricsSeries series plus the slot index ``t`` and
+# the per-slot total of ``delivered``; summary fields are RunSummary and
+# SweepRow fields plus ``policy`` and ``seed``.
+_PER_SLOT_COLUMNS = _columns(
     "t,utility,backlog,virtual_backlog,delivered_total,"
     "obs_used,obs_avail,trans_used,trans_avail"
 )
+_RUN_SUMMARY_COLUMNS = _columns(
+    "policy,seed,avg_utility,avg_backlog,avg_virtual_backlog,"
+    "obs_utilization,trans_utilization,delivered_total"
+)
+_SWEEP_COLUMNS = _columns("v,avg_utility,avg_backlog")
+_COMPARE_COLUMNS = _columns(
+    "policy,avg_utility,avg_backlog,avg_virtual_backlog,obs_utilization,"
+    "trans_utilization,obs_avail,trans_avail,delivered_total",
+    obs_avail="obs_avail_total",
+    trans_avail="trans_avail_total",
+)
+PER_SLOT_HEADER = ",".join(column for column, _ in _PER_SLOT_COLUMNS)
 
 
+@dataclass(frozen=True)
 class _Loaded:
-    def __init__(self, config, model, plan, solver, seeds, outdir):
-        self.config: NetworkConfig = config
-        self.model: ChannelModel = model
-        self.plan: ContactPlan = plan
-        self.solver: SolverParams = solver
-        self.seeds: list[int] = seeds
-        self.outdir: Path = outdir
+    config: NetworkConfig
+    model: ChannelModel
+    plan: ContactPlan
+    solver: SolverParams
+    seeds: list[int]
+    outdir: Path
 
 
 def _load(path: str, args) -> _Loaded:
@@ -156,23 +181,32 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return _fmt(value)
+
+
+def _table_lines(columns, rows):
+    """A header line, then one line per row mapping, read column by column."""
+    yield ",".join(column for column, _ in columns)
+    for row in rows:
+        yield ",".join(_cell(row[name]) for _, name in columns)
+
+
 def _per_slot_lines(metrics):
-    yield PER_SLOT_HEADER
-    total = metrics.delivered.sum(axis=1)
-    for t in range(len(metrics.utility)):
-        yield ",".join(
-            [
-                str(t),
-                _fmt(metrics.utility[t]),
-                _fmt(metrics.backlog[t]),
-                _fmt(metrics.virtual_backlog[t]),
-                _fmt(total[t]),
-                str(int(metrics.obs_used[t])),
-                str(int(metrics.obs_avail[t])),
-                str(int(metrics.trans_used[t])),
-                str(int(metrics.trans_avail[t])),
-            ]
-        )
+    T = len(metrics.utility)
+    series = {
+        **vars(metrics),
+        "t": range(T),
+        "delivered_total": metrics.delivered.sum(axis=1),
+    }
+    return _table_lines(
+        _PER_SLOT_COLUMNS,
+        ({name: series[name][t] for _, name in _PER_SLOT_COLUMNS} for t in range(T)),
+    )
 
 
 def _cmd_run(args) -> int:
@@ -181,34 +215,21 @@ def _cmd_run(args) -> int:
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
 
-    summary_lines = [
-        "policy,seed,avg_utility,avg_backlog,avg_virtual_backlog,"
-        "obs_utilization,trans_utilization,delivered_total"
-    ]
+    rows = []
     for seed in loaded.seeds:
-        result = run(
+        # Keep only the metrics, so the run's ledger is freed before the
+        # next seed runs.
+        metrics = run(
             loaded.config, loaded.plan, loaded.model, policy, seed, loaded.solver
-        )
-        s = average_metrics(result.metrics)
+        ).metrics
         _atomic_write(
-            loaded.outdir / f"run_{policy}_seed{seed}.csv",
-            _per_slot_lines(result.metrics),
+            loaded.outdir / f"run_{policy}_seed{seed}.csv", _per_slot_lines(metrics)
         )
-        summary_lines.append(
-            ",".join(
-                [
-                    policy,
-                    str(seed),
-                    _fmt(s.avg_utility),
-                    _fmt(s.avg_backlog),
-                    _fmt(s.avg_virtual_backlog),
-                    _fmt(s.obs_utilization),
-                    _fmt(s.trans_utilization),
-                    _fmt(s.delivered_total),
-                ]
-            )
-        )
-    _atomic_write(loaded.outdir / f"run_{policy}_summary.csv", summary_lines)
+        rows.append({**vars(average_metrics(metrics)), "policy": policy, "seed": seed})
+    _atomic_write(
+        loaded.outdir / f"run_{policy}_summary.csv",
+        _table_lines(_RUN_SUMMARY_COLUMNS, rows),
+    )
     return 0
 
 
@@ -228,11 +249,9 @@ def _cmd_sweep_v(args) -> int:
     rows = sweep_v(
         loaded.config, loaded.plan, loaded.model, v_values, loaded.seeds, loaded.solver
     )
-    lines = ["v,avg_utility,avg_backlog"]
-    lines += [
-        ",".join([_fmt(r.v), _fmt(r.avg_utility), _fmt(r.avg_backlog)]) for r in rows
-    ]
-    _atomic_write(loaded.outdir / "sweep_v.csv", lines)
+    _atomic_write(
+        loaded.outdir / "sweep_v.csv", _table_lines(_SWEEP_COLUMNS, map(vars, rows))
+    )
     return 0
 
 
@@ -246,28 +265,8 @@ def _cmd_compare(args) -> int:
         loaded.seeds,
         loaded.solver,
     )
-    lines = [
-        "policy,avg_utility,avg_backlog,avg_virtual_backlog,"
-        "obs_utilization,trans_utilization,obs_avail,trans_avail,delivered_total"
-    ]
-    for policy in POLICIES:
-        s = table[policy]
-        lines.append(
-            ",".join(
-                [
-                    policy,
-                    _fmt(s.avg_utility),
-                    _fmt(s.avg_backlog),
-                    _fmt(s.avg_virtual_backlog),
-                    _fmt(s.obs_utilization),
-                    _fmt(s.trans_utilization),
-                    str(s.obs_avail_total),
-                    str(s.trans_avail_total),
-                    _fmt(s.delivered_total),
-                ]
-            )
-        )
-    _atomic_write(loaded.outdir / "compare.csv", lines)
+    rows = [{**vars(table[policy]), "policy": policy} for policy in POLICIES]
+    _atomic_write(loaded.outdir / "compare.csv", _table_lines(_COMPARE_COLUMNS, rows))
     return 0
 
 

@@ -70,8 +70,9 @@ class ConservationReport:
 def build_eteg(plan: ContactPlan, states) -> Eteg:
     """Assemble the graph for a contact plan and its sampled capacities.
 
-    Edge sets mirror visibility exactly; all realized volumes start at
-    zero. ``states`` must provide one capacity pair per slot.
+    Edge sets mirror visibility exactly and share the plan's arrays; all
+    realized volumes start at zero. ``states`` must provide one capacity
+    pair per slot.
     """
     T, I, K = plan.obs_visible.shape
     N = plan.trans_visible.shape[2]
@@ -85,8 +86,8 @@ def build_eteg(plan: ContactPlan, states) -> Eteg:
         raise DimensionError("channel state shapes do not match the plan")
 
     return Eteg(
-        obs_visible=plan.obs_visible.copy(),
-        trans_visible=plan.trans_visible.copy(),
+        obs_visible=plan.obs_visible,
+        trans_visible=plan.trans_visible,
         obs_capacity=obs_cap,
         trans_capacity=trans_cap,
         joc_volume=np.zeros((T, I, K)),

@@ -10,7 +10,7 @@ variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -18,7 +18,9 @@ from . import dmrc
 from .errors import ConfigError, DimensionError, ParameterError, ScheduleValidationError
 from .eteg import Eteg, build_eteg, record_decision
 from .queueing import QueueState, update_data_queues, update_virtual_queues
-from .scenario import ChannelModel, ContactPlan, NetworkConfig, sample_channels
+from .scenario import (
+    ChannelModel, ChannelState, ContactPlan, NetworkConfig, sample_channels
+)
 
 POLICIES = ("dmrc", "random", "fixed_cr")
 
@@ -48,18 +50,9 @@ class MetricsSeries:
 
     def __post_init__(self):
         T = len(self.utility)
-        for name in (
-            "backlog",
-            "virtual_backlog",
-            "flow_arrivals",
-            "delivered",
-            "obs_used",
-            "obs_avail",
-            "trans_used",
-            "trans_avail",
-        ):
-            if len(getattr(self, name)) != T:
-                raise DimensionError(f"metrics series {name} has wrong length")
+        for f in fields(self):
+            if len(getattr(self, f.name)) != T:
+                raise DimensionError(f"metrics series {f.name} has wrong length")
 
 
 @dataclass(frozen=True)
@@ -129,8 +122,11 @@ def run(
     tau = config.slot_length
     floors = np.asarray(config.rate_floors)
 
-    states = [sample_channels(plan, model, t, channel_rng, tau) for t in range(T)]
-    ledger = build_eteg(plan, states)
+    # The ledger keeps the only copy of the sampled capacities; each
+    # slot's channel state is read back from it as views.
+    ledger = build_eteg(
+        plan, [sample_channels(plan, model, t, channel_rng, tau) for t in range(T)]
+    )
     queues = QueueState.zeros(config)
 
     utility = np.zeros(T)
@@ -149,7 +145,7 @@ def run(
 
     delivered_so_far = np.zeros(I)
     for t in range(T):
-        state = states[t]
+        state = ChannelState(B=ledger.obs_capacity[t], C=ledger.trans_capacity[t])
         decision = _decide(
             policy, queues, state, config, params, policy_rng,
             plan.obs_visible[t], plan.trans_visible[t],
@@ -229,6 +225,29 @@ def average_metrics(m: MetricsSeries) -> RunSummary:
     )
 
 
+# Seeds share the contact plan, so seed-averaged summaries report the
+# contacts available over all seeds; every other field is a mean.
+_SUMMED_OVER_SEEDS = ("obs_avail_total", "trans_avail_total")
+
+
+def _seed_average(config, plan, model, policy, seeds, params) -> RunSummary:
+    """Run ``policy`` once per seed and reduce the summaries field by
+    field: contact counts are summed, every other field is averaged."""
+    summaries = [
+        average_metrics(run(config, plan, model, policy, seed, params).metrics)
+        for seed in seeds
+    ]
+    reduced = {}
+    for f in fields(RunSummary):
+        values = [getattr(s, f.name) for s in summaries]
+        if f.name in _SUMMED_OVER_SEEDS:
+            reduced[f.name] = int(np.sum(values))
+        else:
+            mean = np.mean(values, axis=0)
+            reduced[f.name] = mean if mean.ndim else float(mean)
+    return RunSummary(**reduced)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     v: float
@@ -256,16 +275,9 @@ def sweep_v(
         if v <= 0:
             raise ParameterError(f"control factor must be positive, got {v}")
         cfg = replace(config, control_factor=float(v))
-        summaries = [
-            average_metrics(run(cfg, plan, model, policy, seed, params).metrics)
-            for seed in seeds
-        ]
+        s = _seed_average(cfg, plan, model, policy, seeds, params)
         rows.append(
-            SweepRow(
-                v=float(v),
-                avg_utility=float(np.mean([s.avg_utility for s in summaries])),
-                avg_backlog=float(np.mean([s.avg_backlog for s in summaries])),
-            )
+            SweepRow(v=float(v), avg_utility=s.avg_utility, avg_backlog=s.avg_backlog)
         )
     return rows
 
@@ -283,25 +295,7 @@ def compare_policies(
     seeds = list(seeds)
     if not seeds:
         raise ParameterError("need at least one seed")
-    out: dict[str, RunSummary] = {}
-    for policy in policies:
-        summaries = [
-            average_metrics(run(config, plan, model, policy, seed, params).metrics)
-            for seed in seeds
-        ]
-        out[policy] = RunSummary(
-            avg_utility=float(np.mean([s.avg_utility for s in summaries])),
-            avg_backlog=float(np.mean([s.avg_backlog for s in summaries])),
-            avg_virtual_backlog=float(
-                np.mean([s.avg_virtual_backlog for s in summaries])
-            ),
-            avg_flow_rates=np.mean([s.avg_flow_rates for s in summaries], axis=0),
-            obs_utilization=float(np.mean([s.obs_utilization for s in summaries])),
-            trans_utilization=float(
-                np.mean([s.trans_utilization for s in summaries])
-            ),
-            obs_avail_total=int(np.sum([s.obs_avail_total for s in summaries])),
-            trans_avail_total=int(np.sum([s.trans_avail_total for s in summaries])),
-            delivered_total=float(np.mean([s.delivered_total for s in summaries])),
-        )
-    return out
+    return {
+        policy: _seed_average(config, plan, model, policy, seeds, params)
+        for policy in policies
+    }

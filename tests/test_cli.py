@@ -1,10 +1,18 @@
+import argparse
+import gc
 import json
 import os
+import re
+import weakref
 from pathlib import Path
 
 import pytest
 
-from eosched.cli import PER_SLOT_HEADER, _atomic_write, main
+from eosched import cli as cli_module
+from eosched.cli import PER_SLOT_HEADER, _atomic_write, _fmt, _load, main
+from eosched.simulator import (
+    POLICIES, average_metrics, compare_policies, run, sweep_v
+)
 
 
 def write_config(tmp_path, **overrides):
@@ -172,7 +180,6 @@ class TestCompareCommand:
 
 def test_runtime_failure_exits_two(tmp_path, monkeypatch):
     from eosched import ScheduleValidationError
-    from eosched import cli as cli_module
 
     def exploding_run(*args, **kwargs):
         raise ScheduleValidationError("slot 3: satellite observes two targets")
@@ -180,6 +187,107 @@ def test_runtime_failure_exits_two(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_module, "run", exploding_run)
     cfg = write_config(tmp_path, seeds=[0])
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+def test_run_releases_each_result_before_the_next_seed(tmp_path, monkeypatch):
+    refs, alive_at_call = [], []
+
+    def tracking_run(*args, **kwargs):
+        gc.collect()
+        alive_at_call.append([ref() is not None for ref in refs])
+        result = run(*args, **kwargs)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli_module, "run", tracking_run)
+    cfg = write_config(tmp_path, seeds=[0, 1])
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert alive_at_call == [[], [False]]
+
+
+def load(cfg):
+    return _load(str(cfg), argparse.Namespace(seeds=None, out=None))
+
+
+def data_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+class TestCsvContents:
+    """Each summary CSV row carries the library's numbers, column by
+    column; a nonzero rate floor keeps every column distinct."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_run_summary_rows(self, tmp_path, policy):
+        cfg = write_config(tmp_path, rate_floors=30.0)
+        assert main(["run", "--config", str(cfg), "--policy", policy]) == 0
+        c = load(cfg)
+        expected = []
+        for seed in c.seeds:
+            s = average_metrics(
+                run(c.config, c.plan, c.model, policy, seed, c.solver).metrics
+            )
+            expected.append([
+                policy,
+                str(seed),
+                _fmt(s.avg_utility),
+                _fmt(s.avg_backlog),
+                _fmt(s.avg_virtual_backlog),
+                _fmt(s.obs_utilization),
+                _fmt(s.trans_utilization),
+                _fmt(s.delivered_total),
+            ])
+        out = tmp_path / "out" / f"run_{policy}_summary.csv"
+        assert data_rows(out) == expected
+
+    def test_compare_rows(self, tmp_path):
+        cfg = write_config(tmp_path, rate_floors=30.0)
+        assert main(["compare", "--config", str(cfg)]) == 0
+        c = load(cfg)
+        table = compare_policies(c.config, c.plan, c.model, POLICIES, c.seeds, c.solver)
+        expected = [
+            [
+                policy,
+                _fmt(s.avg_utility),
+                _fmt(s.avg_backlog),
+                _fmt(s.avg_virtual_backlog),
+                _fmt(s.obs_utilization),
+                _fmt(s.trans_utilization),
+                str(s.obs_avail_total),
+                str(s.trans_avail_total),
+                _fmt(s.delivered_total),
+            ]
+            for policy, s in table.items()
+        ]
+        assert data_rows(tmp_path / "out" / "compare.csv") == expected
+
+    def test_sweep_rows(self, tmp_path):
+        cfg = write_config(tmp_path, rate_floors=30.0)
+        argv = ["sweep-v", "--config", str(cfg), "--v-list", "1000,8000"]
+        assert main(argv) == 0
+        c = load(cfg)
+        rows = sweep_v(c.config, c.plan, c.model, [1000.0, 8000.0], c.seeds, c.solver)
+        expected = [[_fmt(r.v), _fmt(r.avg_utility), _fmt(r.avg_backlog)] for r in rows]
+        assert data_rows(tmp_path / "out" / "sweep_v.csv") == expected
+
+
+def test_readme_schemas_match_written_headers(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Output CSV schemas")[1].split("\n#")[0]
+    documented = re.findall(r"`([a-z_]+(?:,[a-z_]+)+)`", section)
+
+    cfg = write_config(tmp_path, horizon=4, seeds=[0])
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["sweep-v", "--config", str(cfg), "--v-list", "1000"]) == 0
+    assert main(["compare", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    written = [
+        (out / name).read_text().splitlines()[0]
+        for name in (
+            "run_dmrc_seed0.csv", "run_dmrc_summary.csv", "sweep_v.csv", "compare.csv"
+        )
+    ]
+    assert documented == written
 
 
 class TestAtomicWrite:

@@ -244,3 +244,26 @@ class TestCompare:
             (s.obs_avail_total, s.trans_avail_total) for s in table.values()
         }
         assert len(avails) == 1
+
+    def test_seed_average_sums_counts_and_averages_the_rest(self, model):
+        cfg, plan = small_scenario(horizon=30, rate_floors=20.0)
+        seeds = [1, 2]
+        s = compare_policies(cfg, plan, model, ["fixed_cr"], seeds)["fixed_cr"]
+        per_seed = [
+            average_metrics(run(cfg, plan, model, "fixed_cr", seed).metrics)
+            for seed in seeds
+        ]
+        assert s.obs_avail_total == sum(p.obs_avail_total for p in per_seed)
+        assert s.trans_avail_total == sum(p.trans_avail_total for p in per_seed)
+        for name in (
+            "avg_utility",
+            "avg_backlog",
+            "avg_virtual_backlog",
+            "obs_utilization",
+            "trans_utilization",
+            "delivered_total",
+        ):
+            assert getattr(s, name) == np.mean([getattr(p, name) for p in per_seed])
+        np.testing.assert_array_equal(
+            s.avg_flow_rates, np.mean([p.avg_flow_rates for p in per_seed], axis=0)
+        )
