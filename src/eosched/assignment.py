@@ -11,6 +11,7 @@ caller deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,95 +35,266 @@ class AssignmentProblem:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2:
             raise ConfigError("weights must be a 2-D matrix")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ConfigError("weights must be finite")
         object.__setattr__(self, "weights", w)
-        mult = tuple(int(m) for m in self.col_multiplicity)
+        mult = tuple(map(int, self.col_multiplicity))
         if len(mult) != w.shape[1]:
             raise ConfigError("col_multiplicity must have one entry per column")
-        if any(m < 1 for m in mult):
+        if mult and min(mult) < 1:
             raise ConfigError("column multiplicities must be positive")
         object.__setattr__(self, "col_multiplicity", mult)
 
 
-def _best_completion(
-    weights: np.ndarray, rows: list[int], caps: list[int]
-) -> tuple[list[float], dict[int, int]]:
-    """Optimal partial matching of `rows` into columns with remaining
-    capacities `caps`, using only positive weights.
+class _Component:
+    """One connected component of the positive-weight bipartite graph.
 
-    Returns the matched weight list and a row -> column map. Columns are
-    replicated per remaining capacity and negative weights clamped out, so
-    a plain rectangular solve yields the optional-matching optimum.
+    `rows` and `cols` are ascending indices; `edges` maps each row to its
+    positive weights by column. A component with at least 2 rows and 2
+    columns is the only shape that needs the solver; its clamped weights
+    are built on first use, and it keeps the dual prices that decide
+    which trials can still tie (see `price`).
     """
-    if not rows:
-        return [], {}
-    col_ids = [c for c, cap in enumerate(caps) for _ in range(cap)]
-    if not col_ids:
-        return [], {}
-    sub = np.maximum(weights[np.ix_(rows, col_ids)], 0.0)
-    rr, cc = linear_sum_assignment(sub, maximize=True)
-    picked_w: list[float] = []
-    picked: dict[int, int] = {}
-    for a, b in zip(rr, cc):
-        w = weights[rows[a], col_ids[b]]
-        if w > 0.0:
-            picked_w.append(float(w))
-            picked[rows[a]] = col_ids[b]
-    return picked_w, picked
+
+    def __init__(
+        self,
+        rows: list[int],
+        cols: list[int],
+        edges: dict[int, dict[int, float]],
+        weights: np.ndarray,
+    ):
+        self.rows, self.cols, self.edges, self.weights = rows, cols, edges, weights
+        self.solves = len(rows) > 1 and len(cols) > 1
+        self.col_prices: dict[int, float] | None = None
+
+    @functools.cached_property
+    def clamped(self) -> np.ndarray:
+        return np.maximum(self.weights[self.rows][:, self.cols], 0.0)
+
+    def price(
+        self, i: int, kept: int | None, incumbent: dict[int, int], caps: list[int]
+    ) -> None:
+        """Dual prices of the subproblem on rows[i:] under capacities
+        `caps`, where row i holds `kept` and later rows follow
+        `incumbent`.
+
+        Any column prices v >= 0, with row prices u_r = max(0, max_c
+        w[r, c] - v_c), are feasible for the dual of the matching LP, so
+        by weak duality the rows after r can gain at most
+        sum(u_r' for r' > r) + sum(caps_c v_c) - v_c once row r takes
+        column c. Prices are raised along alternating paths of the
+        incumbent (longest paths, Bellman-Ford) until every incumbent
+        pair is tight, which makes the bound exact where the incumbent
+        is optimal. `gap` is the dual objective minus the incumbent's
+        weight on rows[i:].
+        """
+        rows, edges = self.rows[i:], self.edges
+        held = [kept] + [incumbent.get(r) for r in rows[1:]]
+        v = dict.fromkeys(self.cols, 0.0)
+        # An unmatched row has u_r = 0, so each of its weights bounds v.
+        for r, c in zip(rows, held):
+            if c is None:
+                for c2, w in edges[r].items():
+                    v[c2] = max(v[c2], w)
+        # A row matched to c keeps u_r = w[r, c] - v_c only if moving it
+        # to c2 gains nothing: v_c2 >= v_c - w[r, c] + w[r, c2].
+        matched = [(edges[r], c) for r, c in zip(rows, held) if c is not None]
+        for _ in range(len(self.cols)):
+            raised = False
+            for row, c in matched:
+                base = v[c] - row[c]
+                for c2, w in row.items():
+                    if base + w > v[c2]:
+                        v[c2] = base + w
+                        raised = True
+            if not raised:
+                break
+        u = {r: max(0.0, max(w - v[c] for c, w in edges[r].items())) for r in rows}
+        own = sum(row[c] for row, c in matched)
+        self.col_prices, self.row_prices = v, u
+        self.gap = sum(u.values()) + sum(caps[c] * v[c] for c in self.cols) - own
+
+    def viable(
+        self, r: int, row: dict[int, float], options: list[int], slack: float
+    ) -> list[int]:
+        """The options of row r whose trial can still reach the
+        incumbent's total, by the dual bound of `price`."""
+        floor = self.row_prices[r] - self.gap - slack
+        return [c for c in options if row[c] - self.col_prices[c] >= floor]
+
+    def commit(self, r: int, chosen: int | None, kept: int | None) -> None:
+        """Carry the prices past row r: they stay feasible, and the gap
+        moves by what row r takes out of the dual and the incumbent.
+        A trial that replaced the incumbent makes them stale."""
+        if self.col_prices is None:
+            return
+        if chosen != kept:
+            self.col_prices = None
+            return
+        self.gap -= self.row_prices[r]
+        if kept is not None:
+            self.gap += self.edges[r][kept] - self.col_prices[kept]
+
+    def completion(
+        self, start: int, caps: list[int]
+    ) -> tuple[list[float], dict[int, int]]:
+        """Optimal matching of rows[start:] into this component's columns
+        with remaining capacities `caps`: the matched weights and a
+        row -> column map."""
+        rows, edges = self.rows[start:], self.edges
+        if not rows:
+            return [], {}
+        if len(self.cols) == 1:
+            # One column of capacity m takes the top m rows by weight.
+            c = self.cols[0]
+            top = sorted(rows, key=lambda r: (-edges[r][c], r))[: caps[c]]
+            return [edges[r][c] for r in top], dict.fromkeys(top, c)
+        if len(rows) == 1:
+            # One row takes the smallest column of maximal weight.
+            row = edges[rows[0]]
+            options = [c for c in row if caps[c] > 0]
+            if not options:
+                return [], {}
+            c = max(options, key=lambda c: (row[c], -c))
+            return [row[c]], {rows[0]: c}
+        # Columns replicated per remaining capacity: a plain rectangular
+        # solve then yields the optional-matching optimum.
+        rep = np.repeat(np.arange(len(self.cols)), [caps[c] for c in self.cols])
+        sub = self.clamped[start:, rep]
+        if not sub.size:
+            return [], {}
+        rr, cc = linear_sum_assignment(sub, maximize=True)
+        picked = sub[rr, cc]
+        keep = picked > 0.0
+        matched_rows = [self.rows[start + a] for a in rr[keep].tolist()]
+        matched_cols = [self.cols[b] for b in rep[cc[keep]].tolist()]
+        return picked[keep].tolist(), dict(zip(matched_rows, matched_cols))
+
+
+def _components(
+    edges: dict[int, dict[int, float]], weights: np.ndarray
+) -> list[_Component]:
+    """Connected components of the graph whose edges are `edges`, in
+    order of their first row."""
+    col_rows: dict[int, list[int]] = {}
+    for r, row in edges.items():
+        for c in row:
+            col_rows.setdefault(c, []).append(r)
+    seen: set[int] = set()
+    components = []
+    for first in edges:
+        if first in seen:
+            continue
+        seen.add(first)
+        rows, cols, stack = [first], set(), [first]
+        while stack:
+            for c in edges[stack.pop()]:
+                if c not in cols:
+                    cols.add(c)
+                    for r in col_rows[c]:
+                        if r not in seen:
+                            seen.add(r)
+                            rows.append(r)
+                            stack.append(r)
+        components.append(_Component(sorted(rows), sorted(cols), edges, weights))
+    return components
 
 
 def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     """Globally optimal partial matching, lexicographically smallest
     among ties.
 
-    A first solve fixes the optimal total. Rows are then committed in
-    index order: a row keeps the smallest column that still completes to
-    the optimal total, verified by re-solving the remainder; columns
-    already agreeing with the incumbent optimum are committed without a
-    solve. Totals are compared as correctly-rounded sums (math.fsum), so
-    the equality test is exact for any weight multiset.
+    Only positive weights can be matched, so the problem splits into the
+    connected components of its positive-weight bipartite graph. A first
+    solve fixes the optimal total and an incumbent matching. Rows are
+    then committed in index order: a row keeps the smallest column that
+    still completes to the optimal total, verified by re-solving the
+    remaining rows of its own component only; the incumbent's column is
+    committed without a solve when no smaller one works.
+
+    Components of a single row or a single column need no solve: a row
+    takes the smallest column of maximal weight, a column of capacity m
+    the top m rows by (weight descending, row ascending). Only
+    components with at least 2 rows and 2 columns call the solver, over
+    their own rows and columns, and only for trials that LP duality
+    cannot rule out (`_Component.price`): a trial on a pair whose
+    reduced cost under the incumbent's dual prices is clearly nonzero
+    cannot reach the optimal total and is skipped.
+
+    Totals are compared as correctly-rounded sums (math.fsum) over the
+    whole matching, so the equality test is exact for any weight
+    multiset. Two parts stay global because float near-ties can differ
+    by less than one unit in the last place of the total. A trial's
+    total sums the committed weights, the other components' incumbent
+    weights, the candidate and the component's re-solved tail, and is
+    compared with the first solve's total; comparing per-component
+    totals instead accepts different near-ties. And whenever some
+    component needs the solver, the first solve runs on the whole
+    clamped, column-replicated matrix: a solve of a component alone can
+    come back one unit in the last place short and so change which
+    matching ties.
     """
     weights = p.weights
-    R, C = weights.shape
-    caps = list(p.col_multiplicity)
-    all_rows = list(range(R))
-
-    base_w, incumbent = _best_completion(weights, all_rows, caps)
-    best_total = math.fsum(base_w)
-    if not incumbent:
+    er, ec = np.nonzero(weights > 0.0)
+    if not er.size:
         return [], 0.0
+    edges: dict[int, dict[int, float]] = {}
+    for r, c, w in zip(er.tolist(), ec.tolist(), weights[er, ec].tolist()):
+        edges.setdefault(r, {})[c] = w
+    caps = list(p.col_multiplicity)
+    components = _components(edges, weights)
+    position = {r: (comp, i) for comp in components for i, r in enumerate(comp.rows)}
+
+    if any(comp.solves for comp in components):
+        col_ids = np.repeat(np.arange(len(caps)), caps)
+        full = np.maximum(weights[:, col_ids], 0.0)
+        rr, cc = linear_sum_assignment(full, maximize=True)
+        keep = full[rr, cc] > 0.0
+        incumbent = dict(zip(rr[keep].tolist(), col_ids[cc[keep]].tolist()))
+    else:
+        incumbent = {}
+        for comp in components:
+            incumbent.update(comp.completion(0, caps)[1])
+    best_total = math.fsum(edges[r][c] for r, c in incumbent.items())
+    # Margin of the dual skip test: far above the rounding error of the
+    # solver and of the prices, far below any weight gap it must catch.
+    slack = 1e-9 * best_total
 
     matching: Matching = []
     fixed_w: list[float] = []
-    for r in range(R):
-        options = [c for c in range(C) if caps[c] > 0 and weights[r, c] > 0.0]
-        if not options:
-            incumbent.pop(r, None)
-            continue
-        kept = incumbent.get(r)
-        if kept is not None:
-            options = [c for c in options if c < kept]
-
+    for r, row in edges.items():
+        comp, i = position[r]
+        kept = incumbent.pop(r, None)
+        options = [c for c in row if caps[c] > 0 and (kept is None or c < kept)]
+        if options and comp.solves:
+            if comp.col_prices is None:
+                comp.price(i, kept, incumbent, caps)
+            options = comp.viable(r, row, options, slack)
         chosen = None
-        rest = [r2 for r2 in range(r + 1, R)]
-        for c in options:
-            caps[c] -= 1
-            tail_w, tail_map = _best_completion(weights, rest, caps)
-            trial = math.fsum(fixed_w + [weights[r, c]] + tail_w)
-            if trial == best_total:
-                chosen = c
-                incumbent = tail_map
-                break
-            caps[c] += 1
+        if options:
+            others = fixed_w + [
+                edges[r2][c2]
+                for r2, c2 in incumbent.items()
+                if position[r2][0] is not comp
+            ]
+            for c in options:
+                caps[c] -= 1
+                tail_w, tail_map = comp.completion(i + 1, caps)
+                if math.fsum(others + [row[c]] + tail_w) == best_total:
+                    chosen = c
+                    for r2 in comp.rows[i + 1 :]:
+                        incumbent.pop(r2, None)
+                    incumbent.update(tail_map)
+                    break
+                caps[c] += 1
         if chosen is None and kept is not None:
             # No smaller column works; the incumbent's choice is lex-minimal.
             chosen = kept
             caps[chosen] -= 1
-            incumbent.pop(r, None)
+        comp.commit(r, chosen, kept)
         if chosen is not None:
-            matching.append((r, int(chosen)))
-            fixed_w.append(float(weights[r, chosen]))
+            matching.append((r, chosen))
+            fixed_w.append(row[chosen])
 
     return matching, math.fsum(fixed_w)
 

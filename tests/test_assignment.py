@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from eosched import (
     AssignmentProblem,
@@ -153,3 +156,218 @@ def test_problem_validation():
         AssignmentProblem(np.ones((2, 2)), (1,))
     with pytest.raises(ConfigError):
         AssignmentProblem(np.ones((2, 2)), (1, 0))
+
+
+def solve_sparse(shape, entries, mults):
+    w = np.zeros(shape)
+    for (r, c), value in entries.items():
+        w[r, c] = value
+    return solve(w, mults)
+
+
+class TestNearTies:
+    """Transmission matchings from desk DMRC runs whose optimum ties with
+    another matching up to the last bits of the total. The expected
+    results are the whole-problem matcher's, which the component split
+    must reproduce bit for bit."""
+
+    def test_incumbent_from_the_whole_matrix(self):
+        # Desk DMRC seed 0, matcher call 6394 (from 0): a solve of the
+        # component alone comes back one unit in the last place short of
+        # the whole-matrix solve.
+        got = solve_sparse(
+            (12, 2),
+            {
+                (0, 0): 80000.0,
+                (2, 0): 53333.33333333333,
+                (2, 1): 106666.66666666666,
+                (3, 0): 53333.3333333333,
+                (3, 1): 26666.66666666665,
+                (4, 0): 80000.0,
+                (4, 1): 160000.0,
+                (6, 0): 53333.33333333333,
+                (6, 1): 53333.33333333333,
+            },
+            (2, 2),
+        )
+        assert got == ([(0, 0), (2, 1), (4, 1), (6, 0)], 400000.0)
+
+    def test_tie_judged_on_the_whole_total(self):
+        # Desk DMRC seed 1, matcher call 18366 (from 0): rows 9, 10 and 11
+        # differ in the last bits; only the rounded total of the whole
+        # matching decides the tie.
+        got = solve_sparse(
+            (12, 2),
+            {
+                (0, 1): 106666.66666666666,
+                (2, 1): 80000.0,
+                (6, 0): 106666.66666666666,
+                (9, 0): 53333.3333333333,
+                (10, 0): 53333.3333333333,
+                (11, 0): 53333.33333333333,
+            },
+            (2, 2),
+        )
+        assert got == ([(0, 1), (2, 1), (6, 0), (9, 0)], 346666.6666666666)
+
+
+def shuffled_blocks(rng, blocks):
+    """Block-diagonal integer weights 0..5 from (rows, cols, mult) block
+    shapes, with rows and columns shuffled; returns weights and
+    multiplicities."""
+    R = sum(b[0] for b in blocks)
+    mults = [m for _, cols, m in blocks for _ in range(cols)]
+    w = np.zeros((R, len(mults)))
+    r0 = c0 = 0
+    for rows, cols, _ in blocks:
+        w[r0 : r0 + rows, c0 : c0 + cols] = rng.integers(0, 6, size=(rows, cols))
+        r0, c0 = r0 + rows, c0 + cols
+    row_perm, col_perm = rng.permutation(R), rng.permutation(len(mults))
+    return w[row_perm][:, col_perm], tuple(mults[c] for c in col_perm)
+
+
+class TestComponentsAgainstOracle:
+    """Instances that split into several components, which the dense
+    random instances above almost never do."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_block_diagonal(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        blocks, rows, slots = [], 0, 0
+        while True:
+            shape = tuple(int(n) for n in rng.integers(1, (4, 4, 3)))
+            if rows + shape[0] > 8 or slots + shape[1] * shape[2] > 8:
+                break
+            blocks.append(shape)
+            rows, slots = rows + shape[0], slots + shape[1] * shape[2]
+        w, mults = shuffled_blocks(rng, blocks)
+        assert solve(w, mults) == oracle(w, mults)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_trivial_components(self, seed):
+        # A single edge, a single row over 2 columns, a single column of
+        # multiplicity 2 or 3 over 2-3 rows, and one 2x2 block.
+        rng = np.random.default_rng(2000 + seed)
+        m = int(rng.integers(2, 4))
+        blocks = [(1, 1, 1), (1, 2, 1), (int(rng.integers(2, 4)), 1, m), (2, 2, 1)]
+        if m == 3:
+            blocks.pop()  # keep the column slots within the oracle's cap
+        w, mults = shuffled_blocks(rng, blocks)
+        assert solve(w, mults) == oracle(w, mults)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_sparse_ties(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        R, C = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        w = rng.integers(0, 6, size=(R, C)) * (rng.random((R, C)) < 0.35)
+        assert solve(w) == oracle(w)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_zero_padding_only_shifts_indices(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        R, C = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        w = rng.integers(0, 6, size=(R, C)) * (rng.random((R, C)) < 0.5)
+        mults = tuple(int(m) for m in rng.integers(1, 3, size=C))
+        rows = np.sort(rng.choice(R + 4, size=R, replace=False))
+        cols = np.sort(rng.choice(C + 4, size=C, replace=False))
+        padded = np.zeros((R + 4, C + 4))
+        padded[np.ix_(rows, cols)] = w
+        padded_mults = [int(rng.integers(1, 3)) for _ in range(C + 4)]
+        for c, m in zip(cols, mults):
+            padded_mults[c] = m
+        m, total = solve(w, mults)
+        assert solve(padded, padded_mults) == (
+            [(int(rows[r]), int(cols[c])) for r, c in m],
+            total,
+        )
+
+
+def whole_problem_matching(weights, mults):
+    """Reference for instances beyond the oracle's cap: the plain
+    lexicographic matcher, which re-solves all remaining rows for every
+    candidate column and judges ties on fsum totals."""
+    R, C = weights.shape
+    caps = list(mults)
+
+    def best(rows):
+        cols = [c for c, k in enumerate(caps) for _ in range(k)]
+        if not rows or not cols:
+            return [], {}
+        sub = np.maximum(weights[np.ix_(rows, cols)], 0.0)
+        rr, cc = linear_sum_assignment(sub, maximize=True)
+        pairs = [(rows[a], cols[b]) for a, b in zip(rr, cc) if sub[a, b] > 0]
+        return [float(weights[p]) for p in pairs], dict(pairs)
+
+    base_w, incumbent = best(list(range(R)))
+    best_total = math.fsum(base_w)
+    matching, fixed = [], []
+    for r in range(R):
+        kept = incumbent.pop(r, None)
+        chosen = None
+        for c in range(C if kept is None else kept):
+            if caps[c] > 0 and weights[r, c] > 0:
+                caps[c] -= 1
+                tail_w, tail = best(list(range(r + 1, R)))
+                if math.fsum(fixed + [float(weights[r, c])] + tail_w) == best_total:
+                    chosen, incumbent = c, tail
+                    break
+                caps[c] += 1
+        if chosen is None and kept is not None:
+            chosen = kept
+            caps[kept] -= 1
+        if chosen is not None:
+            matching.append((r, chosen))
+            fixed.append(float(weights[r, chosen]))
+    return matching, math.fsum(fixed)
+
+
+# Weights that differ only in their last bits, as backlog-times-capacity
+# products do.
+NEAR_TIES = [53333.3333333333, 53333.33333333333, 26666.66666666665,
+             26666.666666666664, 80000.0, 106666.66666666666, 160000.0]
+
+
+class TestAgainstWholeProblemMatcher:
+    @pytest.mark.parametrize("seed", range(15))
+    def test_transmission_like(self, seed):
+        # Backlog times capacity: every row's weights tie up to a factor 2.
+        rng = np.random.default_rng(5000 + seed)
+        R, C = int(rng.integers(10, 30)), int(rng.integers(2, 6))
+        q = rng.uniform(0, 500, R) / 3
+        w = q[:, None] * rng.choice([0.0, 200.0, 400.0], size=(R, C))
+        mults = tuple(int(m) for m in rng.integers(1, 5, size=C))
+        assert solve(w, mults) == whole_problem_matching(w, mults)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_observation_like(self, seed):
+        # Sparse float weights: many components of a few rows each.
+        rng = np.random.default_rng(6000 + seed)
+        R, C = int(rng.integers(10, 30)), int(rng.integers(10, 60))
+        w = np.where(rng.random((R, C)) < 0.06, rng.uniform(-5, 100, (R, C)), 0.0)
+        assert solve(w) == whole_problem_matching(w, (1,) * C)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_near_ties(self, seed):
+        rng = np.random.default_rng(7000 + seed)
+        R, C = int(rng.integers(4, 14)), int(rng.integers(1, 4))
+        w = np.where(rng.random((R, C)) < 0.5, rng.choice(NEAR_TIES, (R, C)), 0.0)
+        mults = tuple(int(m) for m in rng.integers(1, 3, size=C))
+        assert solve(w, mults) == whole_problem_matching(w, mults)
+
+
+def test_trials_on_pairs_off_the_dual_optimum_need_no_solve(monkeypatch):
+    # The optimum is unique and every other pair has a positive reduced
+    # cost, so the first solve is the only one; without the dual test,
+    # row 0 would re-solve rows 1 and 2 for its smaller column 0.
+    import eosched.assignment as assignment
+
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args[0].shape)
+        return linear_sum_assignment(*args, **kwargs)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", counted)
+    w = [[1.0, 9.0, 0.0], [0.0, 1.0, 9.0], [9.0, 0.0, 1.0]]
+    assert solve(w) == ([(0, 1), (1, 2), (2, 0)], 27.0)
+    assert len(solves) == 1

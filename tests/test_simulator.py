@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from eosched import (
     run,
     sweep_v,
 )
-from conftest import make_config
+from conftest import desk_config, desk_plan, make_config
 
 
 def empty_plan(cfg):
@@ -267,3 +268,18 @@ class TestCompare:
         np.testing.assert_array_equal(
             s.avg_flow_rates, np.mean([p.avg_flow_rates for p in per_seed], axis=0)
         )
+
+
+def test_desk_dmrc_trajectory_is_pinned(model):
+    """The desk DMRC run of seed 1, bit for bit. It crosses matchings
+    whose optimum ties another up to the last bits of the total, so it
+    fails if the matcher judges such ties differently. Only a change
+    that states a behaviour change may record a new digest."""
+    cfg = desk_config()
+    m = run(cfg, desk_plan(cfg), model, "dmrc", seed=1).metrics
+    digest = hashlib.sha256()
+    for name in ("utility", "backlog", "virtual_backlog", "flow_arrivals", "delivered"):
+        digest.update(getattr(m, name).tobytes())
+    assert digest.hexdigest() == (
+        "1f5bca0a8aa70e42db5542d1c8db34678eeb5c34a6cdbeae27cf6e56d3bbea01"
+    )
