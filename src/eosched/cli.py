@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +34,8 @@ from .scenario import (
 )
 from .simulator import POLICIES, average_metrics, compare_policies, run, sweep_v
 
-_NETWORK_KEYS = (
-    "num_targets",
-    "num_eos",
-    "num_destinations",
-    "transceivers",
-    "rate_floors",
-    "compression_set",
-    "control_factor",
-    "slot_length",
-    "horizon",
-    "rng_seed",
-)
-_CHANNEL_KEYS = ("obs_support", "obs_probs", "trans_support", "trans_probs")
+_NETWORK_KEYS = tuple(f.name for f in fields(NetworkConfig))
+_CHANNEL_KEYS = tuple(f.name for f in fields(ChannelModel))
 _OTHER_KEYS = ("plan_file", "plan_synthetic", "solver", "seeds", "output_dir")
 
 
@@ -143,7 +133,7 @@ def _synthetic_plan(spec, config: NetworkConfig) -> ContactPlan:
     spec = dict(spec)
     period = spec.pop("period", None)
     duty = spec.pop("duty", None)
-    seed = int(spec.pop("offset_seed", 0))
+    seed = spec.pop("offset_seed", 0)
     obs_period = spec.pop("obs_period", period)
     obs_duty = spec.pop("obs_duty", duty)
     trans_period = spec.pop("trans_period", period)
@@ -155,9 +145,14 @@ def _synthetic_plan(spec, config: NetworkConfig) -> ContactPlan:
         ("obs_duty", obs_duty),
         ("trans_period", trans_period),
         ("trans_duty", trans_duty),
+        ("offset_seed", seed),
     ):
         if value is None:
             raise ConfigError(f"plan_synthetic is missing {name} (or period/duty)")
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(
+                f"plan_synthetic {name} must be a finite number, got {value!r}"
+            )
     obs = generate_synthetic_plan(config, obs_period, obs_duty, seed)
     trans = generate_synthetic_plan(config, trans_period, trans_duty, seed + 1)
     return ContactPlan(obs_visible=obs.obs_visible, trans_visible=trans.trans_visible)
@@ -212,8 +207,6 @@ def _per_slot_lines(metrics):
 def _cmd_run(args) -> int:
     loaded = _load(args.config, args)
     policy = args.policy or "dmrc"
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
 
     rows = []
     for seed in loaded.seeds:

@@ -7,6 +7,7 @@ channel states are sampled; every module downstream works in volume units.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -15,11 +16,31 @@ import numpy as np
 from .errors import ConfigError, ParameterError, PlanFormatError
 
 
+def _finite(value, name: str) -> float:
+    """``value`` as a finite float; JSON's NaN and Infinity are rejected."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _integer(value, name: str, low: int = 1) -> int:
+    """``value`` as an integer of at least ``low``; integral floats such
+    as 2.0 pass, 2.7 is rejected instead of truncated."""
+    number = value if isinstance(value, (int, np.integer)) else _finite(value, name)
+    if number != int(number) or number < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(number)
+
+
 def _as_tuple(value, n: int, name: str) -> tuple[float, ...]:
     """Broadcast a scalar to length n, or validate an explicit sequence."""
     if np.isscalar(value):
-        return (float(value),) * n
-    out = tuple(float(v) for v in value)
+        return (_finite(value, name),) * n
+    out = tuple(_finite(v, name) for v in value)
     if len(out) != n:
         raise ConfigError(f"{name} must have length {n}, got {len(out)}")
     return out
@@ -58,22 +79,18 @@ class NetworkConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_targets", "num_eos", "num_destinations"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("num_targets", "num_eos", "num_destinations", "horizon"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
 
         if np.isscalar(self.transceivers):
-            trx = (int(self.transceivers),) * self.num_destinations
+            trx = (_integer(self.transceivers, "transceivers"),) * self.num_destinations
         else:
-            trx = tuple(int(m) for m in self.transceivers)
+            trx = tuple(_integer(m, "transceivers") for m in self.transceivers)
         if len(trx) != self.num_destinations:
             raise ConfigError(
                 f"transceivers must have one entry per destination "
                 f"({self.num_destinations}), got {len(trx)}"
             )
-        if any(m < 1 for m in trx):
-            raise ConfigError("transceivers entries must be positive")
         object.__setattr__(self, "transceivers", trx)
 
         floors = _as_tuple(self.rate_floors, self.num_targets, "rate_floors")
@@ -81,7 +98,7 @@ class NetworkConfig:
             raise ConfigError("rate_floors must be nonnegative")
         object.__setattr__(self, "rate_floors", floors)
 
-        ratios = tuple(float(r) for r in self.compression_set)
+        ratios = tuple(_finite(r, "compression_set") for r in self.compression_set)
         if not ratios:
             raise ConfigError("compression_set must be nonempty")
         if ratios[0] > 1.0 or ratios[-1] <= 0.0:
@@ -92,19 +109,17 @@ class NetworkConfig:
             raise ConfigError("compression_set must be strictly decreasing")
         object.__setattr__(self, "compression_set", ratios)
 
-        if self.control_factor <= 0:
-            raise ConfigError("control_factor must be positive")
-        if self.slot_length <= 0:
-            raise ConfigError("slot_length must be positive")
-        if int(self.horizon) < 1:
-            raise ConfigError("horizon must be at least one slot")
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
+        for name in ("control_factor", "slot_length"):
+            value = _finite(getattr(self, name), name)
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rng_seed", _integer(self.rng_seed, "rng_seed", 0))
 
 
 def _check_distribution(support, probs, name: str):
-    support = tuple(float(v) for v in support)
-    probs = tuple(float(p) for p in probs)
+    support = tuple(_finite(v, f"{name}_support") for v in support)
+    probs = tuple(_finite(p, f"{name}_probs") for p in probs)
     if len(support) != len(probs) or not support:
         raise ConfigError(f"{name}: support and probabilities must align")
     if any(v < 0 for v in support):

@@ -2,10 +2,12 @@
 
 A run samples channels, asks the chosen policy for a decision, validates
 it, records realized volumes in the graph ledger, and advances the data
-and virtual queues. Channel randomness is derived only from the run seed,
-so different policies replayed with the same seed see identical channels
-(common random numbers), which makes paired policy comparisons low
-variance.
+and virtual queues. The ledger is the run's one record: after the loop
+every per-slot series is read from it and from the deficit-queue history,
+and the data-queue history is ``ledger.store_volume`` itself. Channel
+randomness is derived only from the run seed, so different policies
+replayed with the same seed see identical channels (common random
+numbers), which makes paired policy comparisons low variance.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ POLICIES = ("dmrc", "random", "fixed_cr")
 
 @dataclass(frozen=True)
 class MetricsSeries:
-    """Per-slot series collected over one run.
+    """Per-slot series of one run, read from its ledger after the loop.
 
     utility : sum over flows of log(1 + arrival volume) each slot.
     backlog / virtual_backlog : total data / deficit queue occupancy at
@@ -75,7 +77,8 @@ class RunResult:
     metrics: MetricsSeries
     final_queues: QueueState
     ledger: Eteg
-    # Populated only when record_history is requested.
+    # Populated only when record_history is requested. data_history is
+    # ledger.store_volume itself, not a copy: mutating one mutates the other.
     data_history: np.ndarray | None = None      # (T+1, K, I)
     deficit_history: np.ndarray | None = None   # (T+1, I)
     service_history: np.ndarray | None = None   # (T, K, I) scheduled service
@@ -86,9 +89,7 @@ def _decide(policy, queues, state, config, params, rng, obs_mask, trans_mask):
         return dmrc.dmrc_step(queues, state, config, params)
     if policy == "random":
         return dmrc.random_schedule(queues, state, config, rng, obs_mask, trans_mask)
-    if policy == "fixed_cr":
-        return dmrc.fixed_cr_schedule(queues, state, config)
-    raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    return dmrc.fixed_cr_schedule(queues, state, config)  # run() checked the name
 
 
 def run(
@@ -128,22 +129,11 @@ def run(
         plan, [sample_channels(plan, model, t, channel_rng, tau) for t in range(T)]
     )
     queues = QueueState.zeros(config)
-
-    utility = np.zeros(T)
-    backlog = np.zeros(T)
-    virtual_backlog = np.zeros(T)
-    flow_arrivals = np.zeros((T, I))
-    delivered = np.zeros((T, I))
-    obs_used = np.zeros(T, dtype=int)
-    obs_avail = np.zeros(T, dtype=int)
-    trans_used = np.zeros(T, dtype=int)
-    trans_avail = np.zeros(T, dtype=int)
-
-    data_hist = np.zeros((T + 1, K, I)) if record_history else None
-    deficit_hist = np.zeros((T + 1, I)) if record_history else None
+    # The deficit queues are the one part of the run state the ledger
+    # lacks; row 0 is the empty start, row t+1 the end of slot t.
+    deficit = np.zeros((T + 1, I))
     service_hist = np.zeros((T, K, I)) if record_history else None
 
-    delivered_so_far = np.zeros(I)
     for t in range(T):
         state = ChannelState(B=ledger.obs_capacity[t], C=ledger.trans_capacity[t])
         decision = _decide(
@@ -163,44 +153,36 @@ def run(
         service = decision.service.sum(axis=1)  # (K, I)
         next_data = update_data_queues(queues, decision.arrivals, service)
         record_decision(ledger, t, decision, shipped, next_data.data)
-
-        per_flow = decision.arrivals.sum(axis=0)  # (I,)
-        queues = update_virtual_queues(next_data, per_flow, floors)
-
-        utility[t] = float(np.sum(np.log1p(per_flow)))
-        backlog[t] = float(queues.data.sum())
-        virtual_backlog[t] = float(queues.deficit.sum())
-        flow_arrivals[t] = per_flow
-        delivered_so_far = delivered_so_far + shipped.sum(axis=(0, 1))
-        delivered[t] = delivered_so_far
-        obs_avail[t] = int(plan.obs_visible[t].sum())
-        obs_used[t] = int(np.count_nonzero(decision.arrivals > 0))
-        trans_avail[t] = int(plan.trans_visible[t].sum())
-        trans_used[t] = int(np.count_nonzero(shipped.sum(axis=2) > 0))
-
+        queues = update_virtual_queues(next_data, decision.arrivals.sum(axis=0), floors)
+        deficit[t + 1] = queues.deficit
         if record_history:
-            data_hist[t + 1] = queues.data
-            deficit_hist[t + 1] = queues.deficit
             service_hist[t] = service
 
-    metrics = MetricsSeries(
-        utility=utility,
-        backlog=backlog,
-        virtual_backlog=virtual_backlog,
-        flow_arrivals=flow_arrivals,
-        delivered=delivered,
-        obs_used=obs_used,
-        obs_avail=obs_avail,
-        trans_used=trans_used,
-        trans_avail=trans_avail,
-    )
     return RunResult(
-        metrics=metrics,
+        metrics=_read_metrics(ledger, deficit),
         final_queues=queues,
         ledger=ledger,
-        data_history=data_hist,
-        deficit_history=deficit_hist,
+        data_history=ledger.store_volume if record_history else None,
+        deficit_history=deficit if record_history else None,
         service_history=service_hist,
+    )
+
+
+def _read_metrics(ledger: Eteg, deficit: np.ndarray) -> MetricsSeries:
+    """Every per-slot series of a finished run, read from its ledger and
+    its (T+1, I) deficit history. A target is imaged by at most one
+    satellite per slot, so the per-flow arrival sums are exact."""
+    flow_arrivals = ledger.joc_volume.sum(axis=2)  # (T, I)
+    return MetricsSeries(
+        utility=np.log1p(flow_arrivals).sum(axis=1),
+        backlog=ledger.store_volume[1:].sum(axis=(1, 2)),
+        virtual_backlog=deficit[1:].sum(axis=1),
+        flow_arrivals=flow_arrivals,
+        delivered=np.cumsum(ledger.fwd_volume.sum(axis=(1, 2)), axis=0),
+        obs_used=np.count_nonzero(ledger.joc_volume > 0, axis=(1, 2)),
+        obs_avail=np.count_nonzero(ledger.obs_visible, axis=(1, 2)),
+        trans_used=np.count_nonzero(ledger.fwd_volume.any(axis=3), axis=(1, 2)),
+        trans_avail=np.count_nonzero(ledger.trans_visible, axis=(1, 2)),
     )
 
 

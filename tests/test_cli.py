@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import math
 import os
 import re
 import weakref
@@ -132,6 +133,44 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg)]) == 1
         assert "trans_period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate_floors", math.inf),
+            ("control_factor", math.nan),
+            ("compression_set", [2 / 3, math.nan]),
+            ("obs_probs", [math.nan, 0.5, 0.5]),
+            ("trans_support", [0.0, math.inf, 400.0]),
+            ("num_targets", 2.7),
+        ],
+    )
+    def test_non_finite_or_non_integral_value_exits_one(
+        self, tmp_path, capsys, field, value
+    ):
+        # json.dumps writes NaN and Infinity, which json.load reads back.
+        cfg = write_config(tmp_path, **{field: value})
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not (tmp_path / "out" / "run_dmrc_summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"period": "x", "duty": 0.5}, "obs_period"),
+            ({"period": 4, "duty": "0.5"}, "obs_duty"),
+            ({"period": 4, "duty": 0.5, "offset_seed": "x"}, "offset_seed"),
+            ({"period": 4, "duty": 0.5, "trans_period": math.nan}, "trans_period"),
+        ],
+    )
+    def test_non_numeric_synthetic_plan_value_exits_one(
+        self, tmp_path, capsys, spec, field
+    ):
+        cfg = write_config(tmp_path, plan_synthetic=spec)
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
 
 
 class TestSweepCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,68 @@ class TestNetworkConfig:
         assert cfg.transceivers == (2, 2, 2)
         with pytest.raises(ConfigError):
             make_config(num_destinations=3, transceivers=(2, 2))
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate_floors", math.inf),
+            ("rate_floors", (0.0, math.nan)),
+            ("control_factor", math.nan),
+            ("control_factor", math.inf),
+            ("slot_length", math.nan),
+            ("compression_set", (2 / 3, math.nan)),
+        ],
+    )
+    def test_non_finite_network_value_names_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            make_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("obs_support", (600.0, math.nan, 1000.0)),
+            ("obs_probs", (math.nan, 0.5, 0.5)),
+            ("trans_support", (0.0, math.inf, 400.0)),
+            ("trans_probs", (1 / 3, 1 / 3, "x")),
+        ],
+    )
+    def test_non_finite_channel_value_names_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ChannelModel(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_targets", 2.7),
+            ("num_eos", 0.5),
+            ("num_destinations", math.nan),
+            ("horizon", 10.5),
+            ("transceivers", 1.5),
+            ("transceivers", (1.0, 2.5)),
+            ("num_targets", 0),
+            ("horizon", "x"),
+            ("rng_seed", 0.5),
+            ("rng_seed", -1),
+        ],
+    )
+    def test_non_integral_count_names_field(self, field, value):
+        overrides = {field: value}
+        if field == "transceivers" and not np.isscalar(value):
+            overrides["num_destinations"] = len(value)
+        with pytest.raises(ConfigError, match=field):
+            make_config(**overrides)
+
+    def test_integral_floats_are_counts(self):
+        cfg = make_config(
+            num_targets=2.0, num_eos=3.0, num_destinations=2.0,
+            transceivers=(1.0, 2.0), horizon=10.0, rng_seed=7.0,
+        )
+        counts = (cfg.num_targets, cfg.num_eos, cfg.num_destinations, cfg.horizon)
+        assert counts == (2, 3, 2, 10) and cfg.transceivers == (1, 2)
+        assert cfg.rng_seed == 7
+        assert all(type(v) is int for v in (*counts, *cfg.transceivers, cfg.rng_seed))
 
 
 class TestChannelModel:

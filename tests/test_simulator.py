@@ -283,3 +283,82 @@ def test_desk_dmrc_trajectory_is_pinned(model):
     assert digest.hexdigest() == (
         "1f5bca0a8aa70e42db5542d1c8db34678eeb5c34a6cdbeae27cf6e56d3bbea01"
     )
+
+
+def _slot_by_slot_series(slots, plan):
+    """The per-slot series as the slot loop once filled them, slot by
+    slot, from each slot's arrivals, shipped and stored volumes and the
+    deficits after the virtual-queue update."""
+    T, I = len(slots), slots[0][0].shape[1]
+    s = dict(
+        utility=np.zeros(T),
+        backlog=np.zeros(T),
+        virtual_backlog=np.zeros(T),
+        flow_arrivals=np.zeros((T, I)),
+        delivered=np.zeros((T, I)),
+        obs_used=np.zeros(T, dtype=int),
+        obs_avail=np.zeros(T, dtype=int),
+        trans_used=np.zeros(T, dtype=int),
+        trans_avail=np.zeros(T, dtype=int),
+    )
+    delivered_so_far = np.zeros(I)
+    for t, (arrivals, shipped, stored, deficit) in enumerate(slots):
+        per_flow = arrivals.sum(axis=0)
+        s["utility"][t] = float(np.sum(np.log1p(per_flow)))
+        s["backlog"][t] = float(stored.sum())
+        s["virtual_backlog"][t] = float(deficit.sum())
+        s["flow_arrivals"][t] = per_flow
+        delivered_so_far = delivered_so_far + shipped.sum(axis=(0, 1))
+        s["delivered"][t] = delivered_so_far
+        s["obs_avail"][t] = int(plan.obs_visible[t].sum())
+        s["obs_used"][t] = int(np.count_nonzero(arrivals > 0))
+        s["trans_avail"][t] = int(plan.trans_visible[t].sum())
+        s["trans_used"][t] = int(np.count_nonzero(shipped.sum(axis=2) > 0))
+    return s
+
+
+@pytest.mark.parametrize("policy", ["dmrc", "fixed_cr", "random"])
+def test_series_read_from_ledger_equal_slot_by_slot_series(model, monkeypatch, policy):
+    """Every MetricsSeries array equals, bit for bit and in dtype, the one
+    accumulated slot by slot from what the loop hands the ledger and the
+    virtual queues; the histories are the ledger's and the deficits'."""
+    from eosched import generate_synthetic_plan, simulator
+
+    # Nine flows and twelve satellites, so the sums take numpy's unrolled
+    # path; dense contacts, so several flows arrive and ship per slot.
+    cfg = make_config(
+        num_targets=9, num_eos=12, num_destinations=2, transceivers=2,
+        horizon=96, rate_floors=40.0,
+    )
+    obs = generate_synthetic_plan(cfg, period=8, duty=0.25, offset_seed=5)
+    trans = generate_synthetic_plan(cfg, period=6, duty=0.8, offset_seed=6)
+    plan = ContactPlan(obs_visible=obs.obs_visible, trans_visible=trans.trans_visible)
+
+    slots = []
+    record, advance = simulator.record_decision, simulator.update_virtual_queues
+
+    def spy_record(ledger, t, decision, shipped, stored):
+        record(ledger, t, decision, shipped, stored)
+        slots.append([decision.arrivals, shipped, stored.copy()])
+
+    def spy_advance(state, flow_arrivals, floors):
+        queues = advance(state, flow_arrivals, floors)
+        slots[-1].append(queues.deficit.copy())
+        return queues
+
+    monkeypatch.setattr(simulator, "record_decision", spy_record)
+    monkeypatch.setattr(simulator, "update_virtual_queues", spy_advance)
+    result = run(cfg, plan, model, policy, seed=3, record_history=True)
+
+    expected = _slot_by_slot_series(slots, plan)
+    assert expected["trans_used"].sum() > 0 and expected["virtual_backlog"].sum() > 0
+    for name, want in expected.items():
+        got = getattr(result.metrics, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+    assert np.array_equal(result.data_history, result.ledger.store_volume)
+    assert np.array_equal(result.data_history[1:], [stored for _, _, stored, _ in slots])
+    assert not result.deficit_history[0].any()
+    assert np.array_equal(result.deficit_history[1:], [d for *_, d in slots])
+    assert np.array_equal(result.deficit_history[-1], result.final_queues.deficit)
