@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,14 +213,16 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     remaining rows of its own component only; the incumbent's column is
     committed without a solve when no smaller one works.
 
-    Components of a single row or a single column need no solve: a row
-    takes the smallest column of maximal weight, a column of capacity m
-    the top m rows by (weight descending, row ascending). Only
-    components with at least 2 rows and 2 columns call the solver, over
-    their own rows and columns, and only for trials that LP duality
-    cannot rule out (`_Component.price`): a trial on a pair whose
-    reduced cost under the incumbent's dual prices is clearly nonzero
-    cannot reach the optimal total and is skipped.
+    When no row has two positive entries and no column more than its
+    multiplicity, those entries are the matching and are returned at
+    once. Otherwise, components of a single row or a single column need
+    no solve: a row takes the smallest column of maximal weight, a
+    column of capacity m the top m rows by (weight descending, row
+    ascending). Only components with at least 2 rows and 2 columns call
+    the solver, over their own rows and columns, and only for trials
+    that LP duality cannot rule out (`_Component.price`): a trial on a
+    pair whose reduced cost under the incumbent's dual prices is clearly
+    nonzero cannot reach the optimal total and is skipped.
 
     Totals are compared as correctly-rounded sums (math.fsum) over the
     whole matching, so the equality test is exact for any weight
@@ -238,8 +241,16 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     er, ec = np.nonzero(weights > 0.0)
     if not er.size:
         return [], 0.0
+    rows, cols, values = er.tolist(), ec.tolist(), weights[er, ec].tolist()
+    if len(set(rows)) == len(rows) and (
+        len(set(cols)) == len(cols)
+        or all(n <= p.col_multiplicity[c] for c, n in Counter(cols).items())
+    ):
+        # The positive entries already form a matching: it is the only
+        # optimum, since leaving any of them out loses weight.
+        return list(zip(rows, cols)), math.fsum(values)
     edges: dict[int, dict[int, float]] = {}
-    for r, c, w in zip(er.tolist(), ec.tolist(), weights[er, ec].tolist()):
+    for r, c, w in zip(rows, cols, values):
         edges.setdefault(r, {})[c] = w
     caps = list(p.col_multiplicity)
     components = _components(edges, weights)

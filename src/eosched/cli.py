@@ -111,17 +111,52 @@ def _load(path: str, args) -> _Loaded:
 
     try:
         solver = SolverParams(**raw.get("solver", {}))
-        seeds = [int(s) for s in raw.get("seeds", [config.rng_seed])]
-        if args.seeds:
-            seeds = [int(s) for s in args.seeds.split(",")]
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver or seed value: {exc}") from None
+        raise ConfigError(f"bad solver value: {exc}") from None
+    if args.seeds:
+        seeds = [_seed(_number(s)) for s in args.seeds.split(",")]
+    else:
+        seeds = raw.get("seeds", [config.rng_seed])
+        if not isinstance(seeds, list):
+            raise ConfigError(f"seeds must be a list, got {seeds!r}")
+        seeds = [_seed(s) for s in seeds]
     if not seeds:
         raise ConfigError("at least one seed is required")
 
     outdir = Path(args.out or raw.get("output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     return _Loaded(config, model, plan, solver, seeds, outdir)
+
+
+def _number(text: str):
+    """A ``--seeds`` entry as the number it spells, or the text itself."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _integral(value, low: int, high: float = math.inf) -> bool:
+    """Whether ``value`` is a number (not a bool) equal to an integer in
+    [low, high]; integral floats such as 2.0 count."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if isinstance(value, float) and not value.is_integer():
+        return False  # also NaN and the infinities
+    return low <= value <= high
+
+
+def _seed(value) -> int:
+    if not _integral(value, 0):
+        raise ConfigError(f"seeds must be integers >= 0, got {value!r}")
+    return int(value)
+
+
+# Periods stay far enough inside int64 that phases plus slot indices do
+# not overflow.
+_MAX_PERIOD = 2**62
 
 
 def _synthetic_plan(spec, config: NetworkConfig) -> ContactPlan:
@@ -149,12 +184,25 @@ def _synthetic_plan(spec, config: NetworkConfig) -> ContactPlan:
     ):
         if value is None:
             raise ConfigError(f"plan_synthetic is missing {name} (or period/duty)")
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
             raise ConfigError(
                 f"plan_synthetic {name} must be a finite number, got {value!r}"
             )
-    obs = generate_synthetic_plan(config, obs_period, obs_duty, seed)
-    trans = generate_synthetic_plan(config, trans_period, trans_duty, seed + 1)
+    for name, value in (("obs_period", obs_period), ("trans_period", trans_period)):
+        if not _integral(value, 1, _MAX_PERIOD):
+            raise ConfigError(
+                f"plan_synthetic {name} must be an integer between 1 and "
+                f"{_MAX_PERIOD}, got {value!r}"
+            )
+    if not _integral(seed, 0):
+        raise ConfigError(
+            f"plan_synthetic offset_seed must be an integer >= 0, got {seed!r}"
+        )
+    seed = int(seed)
+    obs = generate_synthetic_plan(config, int(obs_period), obs_duty, seed)
+    trans = generate_synthetic_plan(config, int(trans_period), trans_duty, seed + 1)
     return ContactPlan(obs_visible=obs.obs_visible, trans_visible=trans.trans_visible)
 
 

@@ -95,13 +95,6 @@ class JosapSolution:
     objective: float
 
 
-def _arrival_matrix(chi: np.ndarray, v: float, cap: np.ndarray) -> np.ndarray:
-    """Vectorized closed-form maximizer of v*ln(1+A) - chi*A on [0, cap]."""
-    interior = np.clip(v / np.where(chi > 0, chi, 1.0) - 1.0, 0.0, cap)
-    out = np.where(chi <= v / (1.0 + cap), cap, interior)
-    return np.where(chi >= v, 0.0, out)
-
-
 def optimal_arrival(chi: float, v: float, cap: float) -> float:
     """Closed-form arrival volume maximizing ``v*ln(1+A) - chi*A`` over
     [0, cap].
@@ -114,7 +107,14 @@ def optimal_arrival(chi: float, v: float, cap: float) -> float:
         raise ParameterError("control factor must be positive")
     if cap < 0:
         raise ParameterError("cap must be nonnegative")
-    return float(_arrival_matrix(np.asarray(chi, dtype=float), v, np.asarray(cap, dtype=float)))
+    cap = float(cap)
+    if chi >= v:
+        return 0.0
+    if chi <= v / (1.0 + cap):
+        return cap
+    # Here chi > v / (1 + cap) >= 0, so the division is safe.
+    interior = v / chi - 1.0
+    return 0.0 if interior < 0.0 else min(interior, cap)
 
 
 def project_ratio(
@@ -156,32 +156,6 @@ def _pair_pressure(Q: np.ndarray, P: np.ndarray) -> np.ndarray:
     return Q.T - P[:, None]
 
 
-def _candidate(
-    x: np.ndarray,
-    chi: np.ndarray,
-    arrivals_free: np.ndarray,
-    pressure: np.ndarray,
-    B: np.ndarray,
-    ratios,
-    v: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Complete a matching into a feasible (rho, arrivals) choice and
-    score it with the true subproblem objective."""
-    rho = np.zeros_like(B)
-    arrivals = np.zeros_like(B)
-    objective = 0.0
-    for i, k in zip(*np.nonzero(x)):
-        b = B[i, k]
-        if b <= 0:
-            continue
-        r = project_ratio(arrivals_free[i, k] / b, b, ratios, v, chi[i, k])
-        a = r * b
-        rho[i, k] = r
-        arrivals[i, k] = a
-        objective += v * math.log1p(a) - pressure[i, k] * a
-    return rho, arrivals, objective
-
-
 def josap_solve(
     Q: np.ndarray,
     P: np.ndarray,
@@ -199,6 +173,13 @@ def josap_solve(
     scored; the best-scoring one is returned, so an oscillating dual
     still yields a good primal answer. ``converged`` reports whether the
     multiplier change dropped below ``epsilon`` before ``max_iters``.
+
+    Only pairs with positive capacity take part. A pair with B == 0 has
+    a cap of 0, a free arrival of 0 and a subgradient of 0, so its
+    multiplier stays at ``dual_init``, and its weight of 0 is never
+    matched. The loop therefore keeps the visible pairs' multipliers,
+    arrivals and ratio choices as plain floats, in row-major order, and
+    writes the multipliers into the (I, K) matrix only for the matching.
     """
     params = params or SolverParams()
     v = config.control_factor
@@ -206,10 +187,16 @@ def josap_solve(
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
+    if not (B >= 0).all():
+        raise ParameterError("observation capacities must be nonnegative")
 
-    cap = ratios[0] * B
-    pressure = _pair_pressure(Q, P)
-    alpha = np.full_like(B, params.dual_init)
+    # Flat (row-major) indices of the visible pairs.
+    visible = np.flatnonzero(B > 0)
+    b_vis = B.take(visible).tolist()
+    pressure = _pair_pressure(Q, P).take(visible).tolist()
+    caps = [ratios[0] * b for b in b_vis]
+    alpha = [params.dual_init] * len(b_vis)
+    alpha_matrix = np.full_like(B, params.dual_init)
 
     best_obj = -math.inf
     best = None
@@ -217,32 +204,52 @@ def josap_solve(
     iterations = 0
     for l in range(1, params.max_iters + 1):
         iterations = l
-        chi = alpha + pressure
-        arrivals_free = _arrival_matrix(chi, v, cap)
-        x = observation_matching(alpha, B)
+        free = [
+            optimal_arrival(a + p, v, cap) for a, p, cap in zip(alpha, pressure, caps)
+        ]
+        alpha_matrix.put(visible, alpha)
+        x = observation_matching(alpha_matrix, B)
 
-        rho, arrivals, obj = _candidate(x, chi, arrivals_free, pressure, B, ratios, v)
+        # One pass in row-major order: complete each matched pair into a
+        # ratio choice scored with the true subproblem objective, and take
+        # the subgradient step (clipped at zero) on every pair.
+        step = params.step_scale / l
+        picks = []
+        obj = delta = 0.0
+        for j, m in enumerate(x.take(visible).tolist()):
+            b, a_j = b_vis[j], alpha[j]
+            if m:
+                r = project_ratio(free[j] / b, b, ratios, v, a_j + pressure[j])
+                a = r * b
+                picks.append((j, r, a))
+                obj += v * math.log1p(a) - pressure[j] * a
+            moved = a_j - step * ((b if m else 0.0) - free[j])
+            moved = moved if moved > 0.0 else 0.0
+            delta = max(delta, abs(moved - a_j))
+            alpha[j] = moved
         if obj > best_obj:
             best_obj = obj
-            best = (x, rho, arrivals)
-
-        step = params.step_scale / l
-        alpha_next = np.maximum(alpha - step * (x * B - arrivals_free), 0.0)
-        delta = float(np.max(np.abs(alpha_next - alpha))) if alpha.size else 0.0
-        alpha = alpha_next
+            best = (x, picks)
         if delta < params.epsilon:
             converged = True
             break
 
-    x, rho, arrivals = best
+    x, picks = best
+    rho = np.zeros_like(B)
+    arrivals = np.zeros(B.shape[::-1])
+    for j, r, a in picks:
+        i, k = divmod(int(visible[j]), B.shape[1])
+        rho[i, k] = r
+        arrivals[k, i] = a
+    alpha_matrix.put(visible, alpha)
     return JosapResult(
         observe=x,
         rho=rho,
-        arrivals=arrivals.T.copy(),
+        arrivals=arrivals,
         objective=best_obj,
         iterations=iterations,
         converged=converged,
-        duals=alpha,
+        duals=alpha_matrix,
     )
 
 
@@ -462,11 +469,13 @@ def validate_decision(
 
     # Both closeness tests spell out np.isclose's rule, |a - b| <= atol +
     # rtol * |b| (rtol 1e-5 for the ratios), without its per-call setup.
-    # The allowed ratios are finite and nonnegative.
+    # The allowed ratios are finite and nonnegative. A ratio of 0 is
+    # always allowed, so only the nonzero ones are tested.
     allowed = np.array(config.compression_set + (0.0,))
     rho = decision.rho
-    near = np.abs(rho[:, :, None] - allowed) <= 1e-12 + 1e-5 * allowed
-    if not near.any(axis=2).all():
+    set_ratios = rho[rho != 0.0]
+    near = np.abs(set_ratios[:, None] - allowed) <= 1e-12 + 1e-5 * allowed
+    if not near.any(axis=1).all():
         raise ScheduleValidationError("compression ratio outside the allowed set")
     if np.any((rho > 0) & (x == 0)):
         raise ScheduleValidationError("compression ratio set on an unscheduled pair")

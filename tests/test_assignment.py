@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from eosched import (
@@ -371,3 +374,80 @@ def test_trials_on_pairs_off_the_dual_optimum_need_no_solve(monkeypatch):
     w = [[1.0, 9.0, 0.0], [0.0, 1.0, 9.0], [9.0, 0.0, 1.0]]
     assert solve(w) == ([(0, 1), (1, 2), (2, 0)], 27.0)
     assert len(solves) == 1
+
+
+@st.composite
+def multiplicities(draw):
+    """1 to 4 columns of multiplicity 1 to 3, at most 8 slots in all
+    (the oracle's cap)."""
+    mults = []
+    for left in range(draw(st.integers(1, 4)), 0, -1):
+        room = 8 - sum(mults) - (left - 1)
+        mults.append(draw(st.integers(1, min(3, room))))
+    return tuple(mults)
+
+
+NON_POSITIVE = st.sampled_from([0.0, -0.0, -1.0, -1e-9]) | st.floats(-100.0, 0.0)
+POSITIVE = st.sampled_from([1.0, 2.0, 3.0]) | st.floats(1e-6, 1e6)
+
+
+@st.composite
+def positive_entries_form_a_matching(draw):
+    """Zero and negative entries, plus at most one positive entry per
+    row and at most col_multiplicity[c] of them in column c."""
+    mults = draw(multiplicities())
+    R, C = draw(st.integers(0, 8)), len(mults)
+    w = np.array(
+        [[draw(NON_POSITIVE) for _ in range(C)] for _ in range(R)], dtype=float
+    ).reshape(R, C)
+    caps = list(mults)
+    for r in range(R):
+        c = draw(st.none() | st.integers(0, C - 1))
+        if c is not None and caps[c] > 0:
+            caps[c] -= 1
+            w[r, c] = draw(POSITIVE)
+    return w, mults
+
+
+@st.composite
+def small_instances(draw):
+    """Any signs and shapes within the oracle's cap; entries are halves,
+    so sums are exact and ties are real ties."""
+    mults = draw(multiplicities())
+    R, C = draw(st.integers(0, 8)), len(mults)
+    values = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    w = np.array([[draw(values) for _ in range(C)] for _ in range(R)], dtype=float)
+    return w.reshape(R, C), mults
+
+
+class TestEarlyReturn:
+    @settings(max_examples=300, deadline=None)
+    @given(positive_entries_form_a_matching())
+    def test_agrees_with_oracle_without_components_or_solves(self, instance):
+        w, mults = instance
+        import eosched.assignment as assignment
+
+        with mock.patch.object(
+            assignment, "_components", side_effect=AssertionError("components built")
+        ), mock.patch.object(
+            assignment, "linear_sum_assignment", side_effect=AssertionError("solved")
+        ):
+            m, total = solve(w, mults)
+        expected = oracle(w, mults)
+        assert m == expected[0]
+        assert total == expected[1]
+        assert type(total) is float
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_instances())
+    def test_any_instance_agrees_with_oracle(self, instance):
+        w, mults = instance
+        assert solve(w, mults) == oracle(w, mults)
+
+    def test_two_positive_entries_in_one_row_are_not_a_matching(self):
+        assert solve([[2.0, 3.0], [0.0, 0.0]]) == ([(0, 1)], 3.0)
+
+    def test_column_over_its_multiplicity_is_not_a_matching(self):
+        w = [[1.0], [3.0], [2.0]]
+        assert solve(w, (2,)) == ([(1, 0), (2, 0)], 5.0)
+        assert solve(w, (3,)) == ([(0, 0), (1, 0), (2, 0)], 6.0)

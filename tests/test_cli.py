@@ -173,6 +173,61 @@ class TestRunCommand:
         assert err.startswith("error:") and field in err
 
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"period": 4, "duty": 0.5, "offset_seed": -1}, "offset_seed"),
+            ({"period": 4, "duty": 0.5, "offset_seed": 1.5}, "offset_seed"),
+            ({"period": 4.5, "duty": 0.5}, "obs_period"),
+            ({"period": 1e300, "duty": 0.5}, "obs_period"),
+            ({"period": 4, "duty": 0.5, "trans_period": 2**62 + 1}, "trans_period"),
+            ({"period": 4, "duty": 0.5, "trans_period": 0}, "trans_period"),
+        ],
+    )
+    def test_non_integral_or_out_of_range_synthetic_plan_value_exits_one(
+        self, tmp_path, capsys, spec, field
+    ):
+        cfg = write_config(tmp_path, plan_synthetic=spec)
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+    def test_integral_float_synthetic_plan_values_read_as_integers(self, tmp_path):
+        spec = {"period": 4, "duty": 0.5, "offset_seed": 1}
+        as_floats = {"period": 4.0, "duty": 0.5, "offset_seed": 1.0}
+        texts = []
+        for name, plan in (("ints", spec), ("floats", as_floats)):
+            cfg = write_config(tmp_path, seeds=[0], plan_synthetic=plan)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            texts.append((tmp_path / name / "run_dmrc_seed0.csv").read_text())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("seeds", [[-1], [0, 1.5], ["3"], [True], [math.nan]])
+    def test_bad_config_seed_exits_one(self, tmp_path, capsys, seeds):
+        cfg = write_config(tmp_path, seeds=seeds)
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(seeds[-1]) in err
+        assert not (tmp_path / "out" / "run_dmrc_summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, shown", [("-1", "-1"), ("0,1.5", "1.5"), ("x", "'x'"), ("inf", "inf")]
+    )
+    def test_bad_seeds_flag_exits_one(self, tmp_path, capsys, flag, shown):
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--seeds", flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and shown in err
+        assert not (tmp_path / "out" / "run_dmrc_summary.csv").exists()
+
+    def test_integral_float_seeds_read_as_integers(self, tmp_path):
+        cfg = write_config(tmp_path, seeds=[2.0])
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--seeds", "3.0"]) == 0
+        names = sorted(p.name for p in (tmp_path / "out").glob("run_dmrc_seed*.csv"))
+        assert names == ["run_dmrc_seed2.csv", "run_dmrc_seed3.csv"]
+
+
 class TestSweepCommand:
     def test_nine_values_nine_rows(self, tmp_path):
         cfg = write_config(tmp_path, horizon=8, seeds=[0])

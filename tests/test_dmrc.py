@@ -216,6 +216,36 @@ class TestJosapExact:
         assert sol.objective == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 
+def dense_josap_reference(Q, P, B, cfg, params):
+    """The dual loop over the whole (I, K) matrices, one numpy step per
+    formula: the reference that ``josap_solve`` must match bit for bit."""
+    v, ratios = cfg.control_factor, cfg.compression_set
+    cap = ratios[0] * B
+    pressure = Q.T - P[:, None]
+    alpha = np.full_like(B, params.dual_init)
+    best_obj, best, converged = -math.inf, None, False
+    for l in range(1, params.max_iters + 1):
+        chi = alpha + pressure
+        interior = np.clip(v / np.where(chi > 0, chi, 1.0) - 1.0, 0.0, cap)
+        free = np.where(chi >= v, 0.0, np.where(chi <= v / (1.0 + cap), cap, interior))
+        x = observation_matching(alpha, B)
+        rho, arrivals, obj = np.zeros_like(B), np.zeros_like(B), 0.0
+        for i, k in zip(*np.nonzero(x)):
+            r = project_ratio(free[i, k] / B[i, k], B[i, k], ratios, v, chi[i, k])
+            rho[i, k], arrivals[i, k] = r, r * B[i, k]
+            obj += v * math.log1p(r * B[i, k]) - pressure[i, k] * (r * B[i, k])
+        if obj > best_obj:
+            best_obj, best = obj, (x, rho, arrivals)
+        moved = np.maximum(alpha - params.step_scale / l * (x * B - free), 0.0)
+        delta = float(np.max(np.abs(moved - alpha))) if alpha.size else 0.0
+        alpha = moved
+        if delta < params.epsilon:
+            converged = True
+            break
+    x, rho, arrivals = best
+    return x, rho, arrivals.T, best_obj, l, converged, alpha
+
+
 class TestJosapSolve:
     def test_empty_visibility_converges_immediately(self):
         cfg = make_config(num_targets=2, num_eos=2)
@@ -244,6 +274,81 @@ class TestJosapSolve:
         B = rng.choice((0.0, 600.0, 800.0), size=(3, 4))
         res = josap_solve(rng.uniform(0, 3000, (4, 3)), np.zeros(3), B, cfg)
         assert np.allclose(res.arrivals, (res.rho * res.observe * B).T)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_dense_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        I, K = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        cfg = make_config(num_targets=I, num_eos=K)
+        B = rng.choice((0.0, 600.0, 800.0, 1000.0), size=(I, K))
+        B[rng.random((I, K)) < 0.5] = 0.0
+        Q = rng.uniform(0, 5000, (K, I))
+        P = rng.uniform(0, 3000, I)  # deficits above backlog: negative pressure
+        params = SolverParams(
+            epsilon=float(rng.choice((1e-3, 10.0))),
+            max_iters=int(rng.integers(1, 41)),
+            step_scale=float(rng.choice((0.5, 1.0, 3.0))),
+            dual_init=float(rng.choice((0.0, 0.25, 2.0))),
+        )
+        res = josap_solve(Q, P, B, cfg, params)
+        x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
+            Q, P, B, cfg, params
+        )
+        for got, want in (
+            (res.observe, x), (res.rho, rho), (res.arrivals, arrivals),
+            (res.duals, duals),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (res.objective, res.iterations, res.converged) == (obj, iters, converged)
+
+    def test_pairs_without_capacity_keep_dual_init_and_are_never_observed(self):
+        cfg = make_config(num_targets=4, num_eos=5)
+        rng = np.random.default_rng(5)
+        B = rng.choice((0.0, 600.0, 1000.0), p=(0.6, 0.2, 0.2), size=(4, 5))
+        params = SolverParams(dual_init=0.75)
+        res = josap_solve(
+            rng.uniform(0, 3000, (5, 4)), rng.uniform(0, 500, 4), B, cfg, params
+        )
+        hidden = B == 0
+        assert hidden.any() and res.observe.any()
+        assert np.all(res.duals[hidden] == 0.75)
+        assert np.any(res.duals[~hidden] != 0.75)
+        assert not res.observe[hidden].any()
+        assert not res.rho[hidden].any() and not res.arrivals.T[hidden].any()
+
+    def test_zero_capacity_padding_changes_nothing(self):
+        # Targets and satellites without capacity take no part in the
+        # loop: embedding an instance among them gives the same result,
+        # bit for bit, on its own rows and columns.
+        cfg = make_config(num_targets=3, num_eos=4)
+        rng = np.random.default_rng(11)
+        B = rng.choice((0.0, 600.0, 800.0, 1000.0), size=(3, 4))
+        Q = rng.uniform(0, 3000, (4, 3))
+        P = rng.uniform(0, 500, 3)
+        rows, cols = [0, 2, 5], [1, 2, 4, 6]
+        big_B = np.zeros((6, 7))
+        big_B[np.ix_(rows, cols)] = B
+        big_Q = rng.uniform(0, 3000, (7, 6))
+        big_Q[np.ix_(cols, rows)] = Q
+        big_P = rng.uniform(0, 500, 6)
+        big_P[rows] = P
+        small = josap_solve(Q, P, B, cfg)
+        big = josap_solve(
+            big_Q, big_P, big_B, make_config(num_targets=6, num_eos=7)
+        )
+        block = np.ix_(rows, cols)
+        assert small.observe.any()
+        for name in ("observe", "rho", "duals"):
+            assert np.array_equal(getattr(big, name)[block], getattr(small, name))
+        assert np.array_equal(big.arrivals[np.ix_(cols, rows)], small.arrivals)
+        assert big.observe.sum() == small.observe.sum()
+        assert big.objective == small.objective
+        assert (big.iterations, big.converged) == (small.iterations, small.converged)
+
+    def test_negative_capacity_rejected(self):
+        cfg = make_config(num_targets=1, num_eos=2)
+        with pytest.raises(ParameterError):
+            josap_solve(np.zeros((2, 1)), np.zeros(1), np.array([[600.0, -1.0]]), cfg)
 
     def test_quality_against_exact(self):
         cfg_base = make_config()
@@ -509,6 +614,23 @@ class TestValidator:
         )
         with pytest.raises(ScheduleValidationError):
             validate_decision(d2, cfg, state, om, tm)
+
+    def test_ratio_tolerance_and_non_finite_ratio(self):
+        cfg, state, d, (om, tm) = self.base()
+        i, k = np.argwhere(d.observe == 1)[0]
+
+        def with_ratio(r):
+            rho = d.rho.copy()
+            rho[i, k] = r
+            return type(d)(
+                observe=d.observe, transmit=d.transmit, rho=rho,
+                arrivals=(rho * d.observe * state.B).T, service=d.service,
+            )
+
+        validate_decision(with_ratio(d.rho[i, k] * (1 + 5e-6)), cfg, state, om, tm)
+        for bad in (d.rho[i, k] * (1 + 2e-5), math.nan, -0.25):
+            with pytest.raises(ScheduleValidationError, match="compression ratio"):
+                validate_decision(with_ratio(bad), cfg, state, om, tm)
 
     def test_inconsistent_arrivals_rejected(self):
         cfg, state, d, (om, tm) = self.base()

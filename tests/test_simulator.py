@@ -285,6 +285,23 @@ def test_desk_dmrc_trajectory_is_pinned(model):
     )
 
 
+def test_constellation_dmrc_trajectory_is_pinned(model):
+    """A constellation-scale DMRC run (30 targets, 60 satellites, 6
+    destinations with 4 transceivers each, 24 slots), bit for bit. About
+    38 pairs are visible per slot, so the dual loop's matchings span
+    many rows and columns, unlike the desk run's two or so pairs. Only a
+    change that states a behaviour change may record a new digest."""
+    cfg = desk_config(num_targets=30, num_eos=60, num_destinations=6,
+                      transceivers=4, horizon=24)
+    m = run(cfg, desk_plan(cfg), model, "dmrc", seed=0).metrics
+    digest = hashlib.sha256()
+    for name in ("utility", "backlog", "virtual_backlog", "flow_arrivals", "delivered"):
+        digest.update(getattr(m, name).tobytes())
+    assert digest.hexdigest() == (
+        "21303c962d654b94ccf310288752dffbe71743fea588e587ee94d21c37625226"
+    )
+
+
 def _slot_by_slot_series(slots, plan):
     """The per-slot series as the slot loop once filled them, slot by
     slot, from each slot's arrivals, shipped and stored volumes and the
