@@ -138,25 +138,17 @@ def _number(text: str):
     return text
 
 
-def _integral(value, low: int, high: float = math.inf) -> bool:
-    """Whether ``value`` is a number (not a bool) equal to an integer in
-    [low, high]; integral floats such as 2.0 count."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    if isinstance(value, float) and not value.is_integer():
-        return False  # also NaN and the infinities
-    return low <= value <= high
-
-
 def _seed(value) -> int:
-    if not _integral(value, 0):
+    """A seed: a number (not a bool) equal to an integer >= 0; integral
+    floats such as 2.0 count."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())  # also NaN, inf
+        or value < 0
+    ):
         raise ConfigError(f"seeds must be integers >= 0, got {value!r}")
     return int(value)
-
-
-# Periods stay far enough inside int64 that phases plus slot indices do
-# not overflow.
-_MAX_PERIOD = 2**62
 
 
 def _synthetic_plan(spec, config: NetworkConfig) -> ContactPlan:
@@ -190,20 +182,22 @@ def _synthetic_plan(spec, config: NetworkConfig) -> ContactPlan:
             raise ConfigError(
                 f"plan_synthetic {name} must be a finite number, got {value!r}"
             )
-    for name, value in (("obs_period", obs_period), ("trans_period", trans_period)):
-        if not _integral(value, 1, _MAX_PERIOD):
-            raise ConfigError(
-                f"plan_synthetic {name} must be an integer between 1 and "
-                f"{_MAX_PERIOD}, got {value!r}"
-            )
-    if not _integral(seed, 0):
-        raise ConfigError(
-            f"plan_synthetic offset_seed must be an integer >= 0, got {seed!r}"
-        )
-    seed = int(seed)
-    obs = generate_synthetic_plan(config, int(obs_period), obs_duty, seed)
-    trans = generate_synthetic_plan(config, int(trans_period), trans_duty, seed + 1)
+    obs = _tensor_plan(config, "obs", obs_period, obs_duty, seed)
+    # The first call has checked that the seed is an integer >= 0.
+    trans = _tensor_plan(config, "trans", trans_period, trans_duty, int(seed) + 1)
     return ContactPlan(obs_visible=obs.obs_visible, trans_visible=trans.trans_visible)
+
+
+def _tensor_plan(config, prefix: str, period, duty, offset_seed) -> ContactPlan:
+    """One tensor's ``generate_synthetic_plan``, which checks ranges and
+    integrality; its errors begin with the argument's name and are
+    reported under the config key that set it."""
+    try:
+        return generate_synthetic_plan(config, period, duty, offset_seed)
+    except ParameterError as exc:
+        name, _, rest = str(exc).partition(" ")
+        key = name if name == "offset_seed" else f"{prefix}_{name}"
+        raise ConfigError(f"plan_synthetic {key} {rest}") from None
 
 
 def _atomic_write(path: Path, lines) -> None:

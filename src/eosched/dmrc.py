@@ -42,6 +42,9 @@ class SolverParams:
     dual_init: float = 0.0
 
     def __post_init__(self):
+        for name in ("epsilon", "step_scale", "dual_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.epsilon <= 0:
             raise ParameterError("epsilon must be positive")
         if int(self.max_iters) < 1:
@@ -178,8 +181,10 @@ def josap_solve(
     a cap of 0, a free arrival of 0 and a subgradient of 0, so its
     multiplier stays at ``dual_init``, and its weight of 0 is never
     matched. The loop therefore keeps the visible pairs' multipliers,
-    arrivals and ratio choices as plain floats, in row-major order, and
-    writes the multipliers into the (I, K) matrix only for the matching.
+    arrivals and ratio choices as plain floats, in row-major order.
+    When no two visible pairs share a target or a satellite, the
+    matching needs no matcher call; otherwise each iteration writes the
+    multipliers into the (I, K) matrix for ``observation_matching``.
     """
     params = params or SolverParams()
     v = config.control_factor
@@ -187,16 +192,27 @@ def josap_solve(
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
-    if not (B >= 0).all():
-        raise ParameterError("observation capacities must be nonnegative")
+    if not ((B >= 0) & (B < math.inf)).all():
+        raise ParameterError("observation capacities must be finite and nonnegative")
 
-    # Flat (row-major) indices of the visible pairs.
+    # Flat (row-major) indices of the visible pairs, and their rows and
+    # columns.
     visible = np.flatnonzero(B > 0)
+    rows, cols = (index.tolist() for index in np.divmod(visible, B.shape[1]))
     b_vis = B.take(visible).tolist()
     pressure = _pair_pressure(Q, P).take(visible).tolist()
     caps = [ratios[0] * b for b in b_vis]
     alpha = [params.dual_init] * len(b_vis)
-    alpha_matrix = np.full_like(B, params.dual_init)
+
+    # The slot's matching structure, worked out once. Where two visible
+    # pairs share a target or a satellite, the matcher runs on the whole
+    # (I, K) matrix, not on the submatrix of the visible rows and
+    # columns: max_weight_assignment's first solve is not invariant under
+    # zero padding on near-ties (see its docstring), so a smaller matrix
+    # can pick a different matching among equal totals.
+    disjoint = len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    if not disjoint:
+        alpha_matrix = np.full_like(B, params.dual_init)
 
     best_obj = -math.inf
     best = None
@@ -207,8 +223,15 @@ def josap_solve(
         free = [
             optimal_arrival(a + p, v, cap) for a, p, cap in zip(alpha, pressure, caps)
         ]
-        alpha_matrix.put(visible, alpha)
-        x = observation_matching(alpha_matrix, B)
+        if disjoint:
+            # The positive weights alpha_j * B_j already form a matching,
+            # which max_weight_assignment would return at once as the
+            # only optimum. With B_j > 0 a weight is positive exactly
+            # when alpha_j is; the product is the matcher's own test.
+            matched = [a * b > 0.0 for a, b in zip(alpha, b_vis)]
+        else:
+            alpha_matrix.put(visible, alpha)
+            matched = observation_matching(alpha_matrix, B).take(visible).tolist()
 
         # One pass in row-major order: complete each matched pair into a
         # ratio choice scored with the true subproblem objective, and take
@@ -216,7 +239,7 @@ def josap_solve(
         step = params.step_scale / l
         picks = []
         obj = delta = 0.0
-        for j, m in enumerate(x.take(visible).tolist()):
+        for j, m in enumerate(matched):
             b, a_j = b_vis[j], alpha[j]
             if m:
                 r = project_ratio(free[j] / b, b, ratios, v, a_j + pressure[j])
@@ -229,27 +252,29 @@ def josap_solve(
             alpha[j] = moved
         if obj > best_obj:
             best_obj = obj
-            best = (x, picks)
+            best = picks
         if delta < params.epsilon:
             converged = True
             break
 
-    x, picks = best
+    observe = np.zeros(B.shape, dtype=int)
     rho = np.zeros_like(B)
     arrivals = np.zeros(B.shape[::-1])
-    for j, r, a in picks:
-        i, k = divmod(int(visible[j]), B.shape[1])
+    for j, r, a in best:
+        i, k = rows[j], cols[j]
+        observe[i, k] = 1
         rho[i, k] = r
         arrivals[k, i] = a
-    alpha_matrix.put(visible, alpha)
+    duals = np.full_like(B, params.dual_init)
+    duals.put(visible, alpha)
     return JosapResult(
-        observe=x,
+        observe=observe,
         rho=rho,
         arrivals=arrivals,
         objective=best_obj,
         iterations=iterations,
         converged=converged,
-        duals=alpha_matrix,
+        duals=duals,
     )
 
 

@@ -16,23 +16,28 @@ import numpy as np
 from .errors import ConfigError, ParameterError, PlanFormatError
 
 
-def _finite(value, name: str) -> float:
-    """``value`` as a finite float; JSON's NaN and Infinity are rejected."""
+def _finite(value, name: str, error=ConfigError) -> float:
+    """``value`` as a finite float; JSON's NaN and Infinity are rejected
+    with ``error``."""
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise error(f"{name} must be a finite number, got {value!r}")
     return number
 
 
-def _integer(value, name: str, low: int = 1) -> int:
-    """``value`` as an integer of at least ``low``; integral floats such
-    as 2.0 pass, 2.7 is rejected instead of truncated."""
-    number = value if isinstance(value, (int, np.integer)) else _finite(value, name)
-    if number != int(number) or number < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+def _integer(
+    value, name: str, low: int = 1, high: float = math.inf, error=ConfigError
+) -> int:
+    """``value`` as an integer in [low, high], else ``error``; integral
+    floats such as 2.0 pass, 2.7 is rejected instead of truncated, and so
+    is a bool."""
+    number = value if isinstance(value, (int, np.integer)) else _finite(value, name, error)
+    if isinstance(value, bool) or number != int(number) or not low <= number <= high:
+        bounds = f">= {low}" if high == math.inf else f"between {low} and {high}"
+        raise error(f"{name} must be an integer {bounds}, got {value!r}")
     return int(number)
 
 
@@ -241,6 +246,11 @@ def load_contact_plan(path, config: NetworkConfig) -> ContactPlan:
     return ContactPlan(obs_visible=obs, trans_visible=trans)
 
 
+# Periods stay far enough inside int64 that phases plus slot indices do
+# not overflow.
+_MAX_PERIOD = 2**62
+
+
 def generate_synthetic_plan(
     config: NetworkConfig, period: int, duty: float, offset_seed: int
 ) -> ContactPlan:
@@ -251,12 +261,17 @@ def generate_synthetic_plan(
     shifted by a per-pair offset drawn from ``offset_seed``. This mimics
     the recurring passes of a low-orbit constellation without doing any
     orbit propagation; the scheduler only ever consumes the booleans.
+
+    ``period`` must be an integer in 1..2**62 and ``offset_seed`` an
+    integer >= 0 (integral floats such as 4.0 count); anything else,
+    including a non-integral value, raises ``ParameterError`` with a
+    message that begins with the argument's name.
     """
+    period = _integer(period, "period", 1, _MAX_PERIOD, ParameterError)
+    duty = _finite(duty, "duty", ParameterError)
     if not (0.0 < duty <= 1.0):
         raise ParameterError(f"duty must be in (0, 1], got {duty}")
-    period = int(period)
-    if period < 1:
-        raise ParameterError("period must be at least 1 slot")
+    offset_seed = _integer(offset_seed, "offset_seed", 0, error=ParameterError)
 
     T, I, K, N = (
         config.horizon,
@@ -265,7 +280,7 @@ def generate_synthetic_plan(
         config.num_destinations,
     )
     window = int(round(duty * period))
-    rng = np.random.default_rng(int(offset_seed))
+    rng = np.random.default_rng(offset_seed)
     obs_phase = rng.integers(0, period, size=(I, K))
     trans_phase = rng.integers(0, period, size=(K, N))
 

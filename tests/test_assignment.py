@@ -168,50 +168,89 @@ def solve_sparse(shape, entries, mults):
     return solve(w, mults)
 
 
+def embed(rng, w, mults, extra_rows=4, extra_cols=4):
+    """``w`` placed at sorted random rows and columns of a larger zero
+    matrix, whose other columns get random multiplicities 1..2; returns
+    the padded problem and the row and column maps."""
+    R, C = w.shape
+    rows = np.sort(rng.choice(R + extra_rows, size=R, replace=False))
+    cols = np.sort(rng.choice(C + extra_cols, size=C, replace=False))
+    padded = np.zeros((R + extra_rows, C + extra_cols))
+    padded[np.ix_(rows, cols)] = w
+    padded_mults = [int(rng.integers(1, 3)) for _ in range(C + extra_cols)]
+    for c, m in zip(cols, mults):
+        padded_mults[c] = m
+    return padded, padded_mults, rows, cols
+
+
+def shifted(result, rows, cols):
+    matching, total = result
+    return [(int(rows[r]), int(cols[c])) for r, c in matching], total
+
+
 class TestNearTies:
     """Transmission matchings from desk DMRC runs whose optimum ties with
     another matching up to the last bits of the total. The expected
     results are the whole-problem matcher's, which the component split
     must reproduce bit for bit."""
 
+    # Desk DMRC seed 0, matcher call 6394 (from 0): a solve of the
+    # component alone comes back one unit in the last place short of the
+    # whole-matrix solve.
+    WHOLE_MATRIX = {
+        (0, 0): 80000.0,
+        (2, 0): 53333.33333333333,
+        (2, 1): 106666.66666666666,
+        (3, 0): 53333.3333333333,
+        (3, 1): 26666.66666666665,
+        (4, 0): 80000.0,
+        (4, 1): 160000.0,
+        (6, 0): 53333.33333333333,
+        (6, 1): 53333.33333333333,
+    }
+    # Desk DMRC seed 1, matcher call 18366 (from 0): rows 9, 10 and 11
+    # differ in the last bits; only the rounded total of the whole
+    # matching decides the tie.
+    WHOLE_TOTAL = {
+        (0, 1): 106666.66666666666,
+        (2, 1): 80000.0,
+        (6, 0): 106666.66666666666,
+        (9, 0): 53333.3333333333,
+        (10, 0): 53333.3333333333,
+        (11, 0): 53333.33333333333,
+    }
+
     def test_incumbent_from_the_whole_matrix(self):
-        # Desk DMRC seed 0, matcher call 6394 (from 0): a solve of the
-        # component alone comes back one unit in the last place short of
-        # the whole-matrix solve.
-        got = solve_sparse(
-            (12, 2),
-            {
-                (0, 0): 80000.0,
-                (2, 0): 53333.33333333333,
-                (2, 1): 106666.66666666666,
-                (3, 0): 53333.3333333333,
-                (3, 1): 26666.66666666665,
-                (4, 0): 80000.0,
-                (4, 1): 160000.0,
-                (6, 0): 53333.33333333333,
-                (6, 1): 53333.33333333333,
-            },
-            (2, 2),
-        )
+        got = solve_sparse((12, 2), self.WHOLE_MATRIX, (2, 2))
         assert got == ([(0, 0), (2, 1), (4, 1), (6, 0)], 400000.0)
 
     def test_tie_judged_on_the_whole_total(self):
-        # Desk DMRC seed 1, matcher call 18366 (from 0): rows 9, 10 and 11
-        # differ in the last bits; only the rounded total of the whole
-        # matching decides the tie.
-        got = solve_sparse(
-            (12, 2),
-            {
-                (0, 1): 106666.66666666666,
-                (2, 1): 80000.0,
-                (6, 0): 106666.66666666666,
-                (9, 0): 53333.3333333333,
-                (10, 0): 53333.3333333333,
-                (11, 0): 53333.33333333333,
-            },
-            (2, 2),
-        )
+        got = solve_sparse((12, 2), self.WHOLE_TOTAL, (2, 2))
         assert got == ([(0, 1), (2, 1), (6, 0), (9, 0)], 346666.6666666666)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_zero_padding_only_shifts_indices(self, seed):
+        w = np.zeros((12, 2))
+        for pair, value in self.WHOLE_TOTAL.items():
+            w[pair] = value
+        rng = np.random.default_rng(8000 + seed)
+        padded, padded_mults, rows, cols = embed(rng, w, (2, 2))
+        assert solve(padded, padded_mults) == shifted(solve(w, (2, 2)), rows, cols)
+
+    def test_zero_padding_can_move_a_near_tie(self):
+        # The first solve runs on the whole matrix, so the matcher is not
+        # invariant under zero padding here: on the rows and columns that
+        # hold an entry alone it settles on the other near-tie, one unit
+        # in the last place short. This is why josap_solve matches on the
+        # whole (I, K) matrix and not on the submatrix of its visible
+        # pairs.
+        rows = sorted({r for r, _ in self.WHOLE_MATRIX})
+        w = np.zeros((len(rows), 2))
+        for (r, c), value in self.WHOLE_MATRIX.items():
+            w[rows.index(r), c] = value
+        got = shifted(solve(w, (2, 2)), rows, [0, 1])
+        assert got == ([(0, 0), (2, 1), (3, 0), (4, 1)], 399999.99999999994)
+        assert got != solve_sparse((12, 2), self.WHOLE_MATRIX, (2, 2))
 
 
 def shuffled_blocks(rng, blocks):
@@ -271,18 +310,8 @@ class TestComponentsAgainstOracle:
         R, C = int(rng.integers(1, 9)), int(rng.integers(1, 7))
         w = rng.integers(0, 6, size=(R, C)) * (rng.random((R, C)) < 0.5)
         mults = tuple(int(m) for m in rng.integers(1, 3, size=C))
-        rows = np.sort(rng.choice(R + 4, size=R, replace=False))
-        cols = np.sort(rng.choice(C + 4, size=C, replace=False))
-        padded = np.zeros((R + 4, C + 4))
-        padded[np.ix_(rows, cols)] = w
-        padded_mults = [int(rng.integers(1, 3)) for _ in range(C + 4)]
-        for c, m in zip(cols, mults):
-            padded_mults[c] = m
-        m, total = solve(w, mults)
-        assert solve(padded, padded_mults) == (
-            [(int(rows[r]), int(cols[c])) for r, c in m],
-            total,
-        )
+        padded, padded_mults, rows, cols = embed(rng, w, mults)
+        assert solve(padded, padded_mults) == shifted(solve(w, mults), rows, cols)
 
 
 def whole_problem_matching(weights, mults):

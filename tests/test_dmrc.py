@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eosched import dmrc
 from eosched import (
     ChannelState,
     ParameterError,
@@ -218,7 +221,9 @@ class TestJosapExact:
 
 def dense_josap_reference(Q, P, B, cfg, params):
     """The dual loop over the whole (I, K) matrices, one numpy step per
-    formula: the reference that ``josap_solve`` must match bit for bit."""
+    formula, with one ``observation_matching`` call on the whole matrix
+    every iteration: the reference that ``josap_solve`` must match bit
+    for bit."""
     v, ratios = cfg.control_factor, cfg.compression_set
     cap = ratios[0] * B
     pressure = Q.T - P[:, None]
@@ -244,6 +249,50 @@ def dense_josap_reference(Q, P, B, cfg, params):
             break
     x, rho, arrivals = best
     return x, rho, arrivals.T, best_obj, l, converged, alpha
+
+
+@st.composite
+def josap_slots(draw):
+    """A small slot whose visible pairs are empty, pairwise disjoint (no
+    shared target or satellite) or shared, with random queues, deficits
+    and solver controls."""
+    kind = draw(st.sampled_from(("empty", "disjoint", "shared")))
+    I, K = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    if kind == "shared" and I == K == 1:
+        K = 2
+    capacity = st.sampled_from((600.0, 800.0, 1000.0))
+    B = np.zeros((I, K))
+    if kind == "disjoint":
+        n = draw(st.integers(1, min(I, K)))
+        rows = draw(st.permutations(range(I)))[:n]
+        cols = draw(st.permutations(range(K)))[:n]
+        for i, k in zip(rows, cols):
+            B[i, k] = draw(capacity)
+    elif kind == "shared":
+        i, k = draw(st.integers(0, I - 1)), draw(st.integers(0, K - 1))
+        # A second pair on the same target, or on the same satellite.
+        if K > 1 and (I == 1 or draw(st.booleans())):
+            other = (i, draw(st.sampled_from([c for c in range(K) if c != k])))
+        else:
+            other = (draw(st.sampled_from([r for r in range(I) if r != i])), k)
+        extra = draw(st.sets(st.tuples(st.integers(0, I - 1), st.integers(0, K - 1))))
+        for pair in {(i, k), other} | extra:
+            B[pair] = draw(capacity)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = rng.uniform(0, 5000, (K, I))
+    P = rng.uniform(0, 3000, I)
+    params = SolverParams(
+        epsilon=draw(st.sampled_from((1e-3, 10.0))),
+        max_iters=draw(st.integers(1, 40)),
+        step_scale=draw(st.sampled_from((0.5, 1.0, 3.0))),
+        dual_init=draw(st.sampled_from((0.0, 0.25, 2.0))),
+    )
+    return kind, Q, P, B, params
+
+
+def shares_a_target_or_satellite(B):
+    rows, cols = np.nonzero(B > 0)
+    return len(set(rows)) < rows.size or len(set(cols)) < cols.size
 
 
 class TestJosapSolve:
@@ -301,6 +350,41 @@ class TestJosapSolve:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert (res.objective, res.iterations, res.converged) == (obj, iters, converged)
 
+    @settings(max_examples=300, deadline=None)
+    @given(josap_slots())
+    def test_matches_full_matrix_reference_on_any_slot_structure(self, slot):
+        kind, Q, P, B, params = slot
+        assert shares_a_target_or_satellite(B) == (kind == "shared")
+        cfg = make_config(num_targets=B.shape[0], num_eos=B.shape[1])
+        res = josap_solve(Q, P, B, cfg, params)
+        x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
+            Q, P, B, cfg, params
+        )
+        for got, want in (
+            (res.observe, x), (res.rho, rho), (res.arrivals, arrivals),
+            (res.duals, duals),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (res.objective, res.iterations, res.converged) == (obj, iters, converged)
+
+    def test_disjoint_visible_pairs_need_no_matcher_call(self, monkeypatch):
+        def no_matcher(problem):
+            raise AssertionError("max_weight_assignment called")
+
+        monkeypatch.setattr(dmrc, "max_weight_assignment", no_matcher)
+        cfg = make_config(num_targets=3, num_eos=4)
+        Q, P = np.zeros((4, 3)), np.zeros(3)
+        disjoint = np.array(
+            [[600.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1000.0, 0.0]]
+        )
+        res = josap_solve(Q, P, disjoint, cfg, SolverParams(dual_init=1.0))
+        assert res.observe.tolist() == (disjoint > 0).astype(int).tolist()
+        josap_solve(Q, P, np.zeros((3, 4)), cfg)
+        shared = disjoint.copy()
+        shared[0, 2] = 800.0
+        with pytest.raises(AssertionError, match="max_weight_assignment called"):
+            josap_solve(Q, P, shared, cfg, SolverParams(dual_init=1.0))
+
     def test_pairs_without_capacity_keep_dual_init_and_are_never_observed(self):
         cfg = make_config(num_targets=4, num_eos=5)
         rng = np.random.default_rng(5)
@@ -349,6 +433,21 @@ class TestJosapSolve:
         cfg = make_config(num_targets=1, num_eos=2)
         with pytest.raises(ParameterError):
             josap_solve(np.zeros((2, 1)), np.zeros(1), np.array([[600.0, -1.0]]), cfg)
+
+    @pytest.mark.parametrize("capacity", [math.inf, math.nan])
+    def test_non_finite_capacity_rejected(self, capacity):
+        # A lone visible pair needs no matcher call, whose finiteness
+        # check would otherwise be the one to catch an infinite weight.
+        cfg = make_config(num_targets=1, num_eos=2)
+        B = np.array([[capacity, 0.0]])
+        with pytest.raises(ParameterError, match="finite"):
+            josap_solve(np.zeros((2, 1)), np.zeros(1), B, cfg)
+
+    @pytest.mark.parametrize("field", ["epsilon", "step_scale", "dual_init"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_solver_params_must_be_finite(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            SolverParams(**{field: value})
 
     def test_quality_against_exact(self):
         cfg_base = make_config()

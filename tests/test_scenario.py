@@ -208,6 +208,28 @@ class TestSyntheticPlan:
         with pytest.raises(ParameterError):
             generate_synthetic_plan(cfg, period=10, duty=1.2, offset_seed=0)
 
+    @pytest.mark.parametrize("period", [4.5, 0, -3, 2**62 + 1, 1e300, True])
+    def test_period_not_an_integer_in_range(self, period):
+        # 4.5 used to be truncated to 4, and 1e300 escaped as numpy's
+        # ValueError.
+        with pytest.raises(ParameterError, match="^period "):
+            generate_synthetic_plan(make_config(), period=period, duty=0.5, offset_seed=0)
+
+    @pytest.mark.parametrize("offset_seed", [-1, 1.5, -0.5])
+    def test_offset_seed_not_a_nonnegative_integer(self, offset_seed):
+        # -1 used to escape as numpy's ValueError, 1.5 was truncated.
+        with pytest.raises(ParameterError, match="^offset_seed "):
+            generate_synthetic_plan(
+                make_config(), period=4, duty=0.5, offset_seed=offset_seed
+            )
+
+    def test_integral_floats_read_as_integers(self):
+        cfg = make_config(horizon=12)
+        a = generate_synthetic_plan(cfg, period=4, duty=0.5, offset_seed=3)
+        b = generate_synthetic_plan(cfg, period=4.0, duty=0.5, offset_seed=3.0)
+        assert np.array_equal(a.obs_visible, b.obs_visible)
+        assert np.array_equal(a.trans_visible, b.trans_visible)
+
 
 class TestSampleChannels:
     def test_invisible_entries_zero(self, model):
