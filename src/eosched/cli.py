@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -29,6 +28,7 @@ from .scenario import (
     ChannelModel,
     ContactPlan,
     NetworkConfig,
+    _integer,
     generate_synthetic_plan,
     load_contact_plan,
 )
@@ -111,15 +111,15 @@ def _load(path: str, args) -> _Loaded:
 
     try:
         solver = SolverParams(**raw.get("solver", {}))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ParameterError) as exc:
         raise ConfigError(f"bad solver value: {exc}") from None
     if args.seeds:
-        seeds = [_seed(_number(s)) for s in args.seeds.split(",")]
+        seeds = [_number(s) for s in args.seeds.split(",")]
     else:
         seeds = raw.get("seeds", [config.rng_seed])
         if not isinstance(seeds, list):
             raise ConfigError(f"seeds must be a list, got {seeds!r}")
-        seeds = [_seed(s) for s in seeds]
+    seeds = [_integer(s, "seeds", 0) for s in seeds]
     if not seeds:
         raise ConfigError("at least one seed is required")
 
@@ -129,26 +129,13 @@ def _load(path: str, args) -> _Loaded:
 
 
 def _number(text: str):
-    """A ``--seeds`` entry as the number it spells, or the text itself."""
+    """A flag's list entry as the number it spells, or the text itself."""
     for parse in (int, float):
         try:
             return parse(text)
         except ValueError:
             pass
     return text
-
-
-def _seed(value) -> int:
-    """A seed: a number (not a bool) equal to an integer >= 0; integral
-    floats such as 2.0 count."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())  # also NaN, inf
-        or value < 0
-    ):
-        raise ConfigError(f"seeds must be integers >= 0, got {value!r}")
-    return int(value)
 
 
 def _synthetic_plan(spec, config: NetworkConfig) -> ContactPlan:
@@ -172,16 +159,9 @@ def _synthetic_plan(spec, config: NetworkConfig) -> ContactPlan:
         ("obs_duty", obs_duty),
         ("trans_period", trans_period),
         ("trans_duty", trans_duty),
-        ("offset_seed", seed),
     ):
         if value is None:
             raise ConfigError(f"plan_synthetic is missing {name} (or period/duty)")
-        if not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not math.isfinite(value)
-        ):
-            raise ConfigError(
-                f"plan_synthetic {name} must be a finite number, got {value!r}"
-            )
     obs = _tensor_plan(config, "obs", obs_period, obs_duty, seed)
     # The first call has checked that the seed is an integer >= 0.
     trans = _tensor_plan(config, "trans", trans_period, trans_duty, int(seed) + 1)
@@ -272,14 +252,10 @@ def _cmd_sweep_v(args) -> int:
     loaded = _load(args.config, args)
     if not args.v_list:
         raise ConfigError("sweep-v requires --v-list")
-    try:
-        v_values = [float(v) for v in args.v_list.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --v-list: {exc}") from None
+    # sweep_v checks every value before its first run.
+    v_values = [_number(v) for v in args.v_list.split(",") if v.strip()]
     if not v_values:
         raise ConfigError("--v-list is empty")
-    if any(v <= 0 for v in v_values):
-        raise ConfigError("control-factor values must be positive")
 
     rows = sweep_v(
         loaded.config, loaded.plan, loaded.model, v_values, loaded.seeds, loaded.solver

@@ -24,7 +24,7 @@ import numpy as np
 
 from .assignment import AssignmentProblem, max_weight_assignment
 from .errors import ParameterError, ScheduleValidationError
-from .scenario import ChannelState, NetworkConfig
+from .scenario import ChannelState, NetworkConfig, _finite, _integer
 
 
 @dataclass(frozen=True)
@@ -43,17 +43,17 @@ class SolverParams:
 
     def __post_init__(self):
         for name in ("epsilon", "step_scale", "dual_init"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
+            object.__setattr__(
+                self, name, _finite(getattr(self, name), name, ParameterError)
+            )
         if self.epsilon <= 0:
             raise ParameterError("epsilon must be positive")
-        if int(self.max_iters) < 1:
-            raise ParameterError("max_iters must be at least 1")
         if self.step_scale <= 0:
             raise ParameterError("step_scale must be positive")
         if self.dual_init < 0:
             raise ParameterError("dual_init must be nonnegative")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+        max_iters = _integer(self.max_iters, "max_iters", 1, error=ParameterError)
+        object.__setattr__(self, "max_iters", max_iters)
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,19 @@ def observation_matching(alpha: np.ndarray, B: np.ndarray) -> np.ndarray:
     return x
 
 
+def _observation(B: np.ndarray, picks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(target, satellite, ratio)`` picks as the (I, K) observation
+    schedule and ratios and the (K, I) arrivals ``(rho * observe * B).T``,
+    in the field order of ``JosapResult`` and ``JosapSolution``. Off the
+    schedule rho is 0, so the arrivals are ``(rho * B).T``."""
+    observe = np.zeros(B.shape, dtype=int)
+    rho = np.zeros(B.shape)
+    for i, k, r in picks:
+        observe[i, k] = 1
+        rho[i, k] = r
+    return observe, rho, (rho * B).T.copy()
+
+
 def _pair_pressure(Q: np.ndarray, P: np.ndarray) -> np.ndarray:
     """(I, K) marginal cost of admitting volume on each pair: backlog on
     the receiving queue minus that flow's rate-floor deficit credit."""
@@ -242,9 +255,10 @@ def josap_solve(
         for j, m in enumerate(matched):
             b, a_j = b_vis[j], alpha[j]
             if m:
+                # Charging a_j per Mbit on top of the pressure sets the ratios' V trend.
                 r = project_ratio(free[j] / b, b, ratios, v, a_j + pressure[j])
                 a = r * b
-                picks.append((j, r, a))
+                picks.append((rows[j], cols[j], r))
                 obj += v * math.log1p(a) - pressure[j] * a
             moved = a_j - step * ((b if m else 0.0) - free[j])
             moved = moved if moved > 0.0 else 0.0
@@ -257,20 +271,10 @@ def josap_solve(
             converged = True
             break
 
-    observe = np.zeros(B.shape, dtype=int)
-    rho = np.zeros_like(B)
-    arrivals = np.zeros(B.shape[::-1])
-    for j, r, a in best:
-        i, k = rows[j], cols[j]
-        observe[i, k] = 1
-        rho[i, k] = r
-        arrivals[k, i] = a
     duals = np.full_like(B, params.dual_init)
     duals.put(visible, alpha)
     return JosapResult(
-        observe=observe,
-        rho=rho,
-        arrivals=arrivals,
+        *_observation(B, best),
         objective=best_obj,
         iterations=iterations,
         converged=converged,
@@ -305,13 +309,25 @@ def josap_exact(
     problem = AssignmentProblem(gains, (1,) * B.shape[1])
     matching, objective = max_weight_assignment(problem)
 
-    x = np.zeros(B.shape, dtype=int)
-    rho = np.zeros_like(B)
-    for i, k in matching:
-        x[i, k] = 1
-        rho[i, k] = cands[pick[i, k]]
-    arrivals = (rho * x * B).T.copy()
-    return JosapSolution(observe=x, rho=rho, arrivals=arrivals, objective=objective)
+    picks = [(i, k, cands[pick[i, k]]) for i, k in matching]
+    return JosapSolution(*_observation(B, picks), objective=objective)
+
+
+def _transmission(
+    weights: np.ndarray, Q: np.ndarray, C: np.ndarray, config: NetworkConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, N) transmission schedule of a max-weight matching of
+    satellites to destination transceivers, and its (K, N, I) service:
+    each matched link serves its satellite's most backlogged flow (ties
+    to the lowest flow index) at full capacity."""
+    matching, _ = max_weight_assignment(AssignmentProblem(weights, config.transceivers))
+    top_flow = np.argmax(Q, axis=1)
+    y = np.zeros(C.shape, dtype=int)
+    service = np.zeros(C.shape + Q.shape[1:])
+    for k, n in matching:
+        y[k, n] = 1
+        service[k, n, top_flow[k]] = C[k, n]
+    return y, service
 
 
 def ts_solve(
@@ -327,19 +343,7 @@ def ts_solve(
     """
     Q = np.asarray(Q, dtype=float)
     C = np.asarray(C, dtype=float)
-    K, N = C.shape
-    top_flow = np.argmax(Q, axis=1)  # ties -> lowest flow index
-    weights = Q[np.arange(K), top_flow][:, None] * C
-
-    problem = AssignmentProblem(weights, config.transceivers)
-    matching, _ = max_weight_assignment(problem)
-
-    y = np.zeros((K, N), dtype=int)
-    service = np.zeros((K, N, Q.shape[1]))
-    for k, n in matching:
-        y[k, n] = 1
-        service[k, n, top_flow[k]] = C[k, n]
-    return y, service
+    return _transmission(Q.max(axis=1)[:, None] * C, Q, C, config)
 
 
 def dmrc_step(
@@ -386,19 +390,16 @@ def random_schedule(
     if trans_visible is None:
         trans_visible = C > 0
 
-    x = np.zeros((I, K), dtype=int)
-    rho = np.zeros((I, K))
+    ratios = config.compression_set
+    picks = []
     used_eos = np.zeros(K, dtype=bool)
     for i in rng.permutation(I):
         options = [k for k in range(K) if obs_visible[i, k] and not used_eos[k]]
         pick = rng.integers(0, len(options) + 1)
         if pick < len(options):
             k = options[pick]
-            x[i, k] = 1
             used_eos[k] = True
-            rho[i, k] = config.compression_set[
-                rng.integers(0, len(config.compression_set))
-            ]
+            picks.append((i, k, ratios[rng.integers(0, len(ratios))]))
 
     y = np.zeros((K, N), dtype=int)
     service = np.zeros((K, N, I))
@@ -415,9 +416,8 @@ def random_schedule(
                 i = backlogged[rng.integers(0, backlogged.size)]
                 service[k, n, i] = C[k, n]
 
-    return SlotDecision(
-        observe=x, transmit=y, rho=rho, arrivals=(rho * x * B).T.copy(), service=service
-    )
+    x, rho, arrivals = _observation(B, picks)
+    return SlotDecision(observe=x, transmit=y, rho=rho, arrivals=arrivals, service=service)
 
 
 def fixed_cr_schedule(
@@ -428,29 +428,12 @@ def fixed_cr_schedule(
     default ratio set). Service goes to each satellite's most backlogged
     flow, like DMRC's transmission stage."""
     B, C = channels.B, channels.C
-    I, K = B.shape
-
-    obs_problem = AssignmentProblem(B, (1,) * K)
-    obs_matching, _ = max_weight_assignment(obs_problem)
-    x = np.zeros((I, K), dtype=int)
-    rho = np.zeros((I, K))
+    matching, _ = max_weight_assignment(AssignmentProblem(B, (1,) * B.shape[1]))
     fixed = config.compression_set[-1]
-    for i, k in obs_matching:
-        x[i, k] = 1
-        rho[i, k] = fixed
-
-    trans_problem = AssignmentProblem(C, config.transceivers)
-    trans_matching, _ = max_weight_assignment(trans_problem)
-    y = np.zeros(C.shape, dtype=int)
-    service = np.zeros((K, C.shape[1], I))
-    top_flow = np.argmax(queues.data, axis=1)
-    for k, n in trans_matching:
-        y[k, n] = 1
-        service[k, n, top_flow[k]] = C[k, n]
-
-    return SlotDecision(
-        observe=x, transmit=y, rho=rho, arrivals=(rho * x * B).T.copy(), service=service
-    )
+    x, rho, arrivals = _observation(B, [(i, k, fixed) for i, k in matching])
+    # Raw capacities weigh the links, so not ts_solve, which weighs by backlog.
+    y, service = _transmission(C, queues.data, C, config)
+    return SlotDecision(observe=x, transmit=y, rho=rho, arrivals=arrivals, service=service)
 
 
 def validate_decision(

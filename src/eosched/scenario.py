@@ -17,14 +17,18 @@ from .errors import ConfigError, ParameterError, PlanFormatError
 
 
 def _finite(value, name: str, error=ConfigError) -> float:
-    """``value`` as a finite float; JSON's NaN and Infinity are rejected
-    with ``error``."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
+    """``value`` as a finite float, else ``error``. This and ``_integer``
+    are the package's only checks on numbers from outside: JSON's NaN and
+    Infinity are rejected, and so are strings and bools, which ``float``
+    would otherwise read as numbers."""
+    number = math.nan
+    if not isinstance(value, (str, bytes, bool, np.bool_)):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
     if not math.isfinite(number):
-        raise error(f"{name} must be a finite number, got {value!r}")
+        raise error(f"{name} must be finite and numeric, got {value!r}")
     return number
 
 
@@ -34,8 +38,9 @@ def _integer(
     """``value`` as an integer in [low, high], else ``error``; integral
     floats such as 2.0 pass, 2.7 is rejected instead of truncated, and so
     is a bool."""
-    number = value if isinstance(value, (int, np.integer)) else _finite(value, name, error)
-    if isinstance(value, bool) or number != int(number) or not low <= number <= high:
+    exact = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    number = value if exact else _finite(value, name, error)
+    if number != int(number) or not low <= number <= high:
         bounds = f">= {low}" if high == math.inf else f"between {low} and {high}"
         raise error(f"{name} must be an integer {bounds}, got {value!r}")
     return int(number)

@@ -21,7 +21,8 @@ from .errors import ConfigError, DimensionError, ParameterError, ScheduleValidat
 from .eteg import Eteg, build_eteg, record_decision
 from .queueing import QueueState, update_data_queues, update_virtual_queues
 from .scenario import (
-    ChannelModel, ChannelState, ContactPlan, NetworkConfig, sample_channels
+    ChannelModel, ChannelState, ContactPlan, NetworkConfig, _finite, _integer,
+    sample_channels,
 )
 
 POLICIES = ("dmrc", "random", "fixed_cr")
@@ -113,7 +114,8 @@ def run(
         raise DimensionError("contact plan does not match the configuration")
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    seed = config.rng_seed if seed is None else int(seed)
+    seed = config.rng_seed if seed is None else seed
+    seed = _integer(seed, "seed", 0, error=ParameterError)
     channel_ss, policy_ss = np.random.SeedSequence(seed).spawn(2)
     channel_rng = np.random.default_rng(channel_ss)
     policy_rng = np.random.default_rng(policy_ss)
@@ -252,15 +254,17 @@ def sweep_v(
     seeds = list(seeds)
     if not seeds:
         raise ParameterError("need at least one seed")
-    rows = []
+    # Every value is checked before the first run.
+    v_values = [_finite(v, "control factor", ParameterError) for v in v_values]
     for v in v_values:
         if v <= 0:
             raise ParameterError(f"control factor must be positive, got {v}")
-        cfg = replace(config, control_factor=float(v))
-        s = _seed_average(cfg, plan, model, policy, seeds, params)
-        rows.append(
-            SweepRow(v=float(v), avg_utility=s.avg_utility, avg_backlog=s.avg_backlog)
+    rows = []
+    for v in v_values:
+        s = _seed_average(
+            replace(config, control_factor=v), plan, model, policy, seeds, params
         )
+        rows.append(SweepRow(v=v, avg_utility=s.avg_utility, avg_backlog=s.avg_backlog))
     return rows
 
 

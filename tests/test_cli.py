@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from eosched import cli as cli_module
+from eosched import simulator
 from eosched.cli import PER_SLOT_HEADER, _atomic_write, _fmt, _load, main
 from eosched.simulator import (
     POLICIES, average_metrics, compare_policies, run, sweep_v
@@ -143,6 +144,12 @@ class TestRunCommand:
             ("obs_probs", [math.nan, 0.5, 0.5]),
             ("trans_support", [0.0, math.inf, 400.0]),
             ("num_targets", 2.7),
+            ("num_targets", "3"),
+            ("control_factor", "8000"),
+            ("rate_floors", True),
+            ("solver", {"max_iters": 2.7}),
+            ("solver", {"max_iters": "40"}),
+            ("solver", {"epsilon": True}),
         ],
     )
     def test_non_finite_or_non_integral_value_exits_one(
@@ -162,6 +169,8 @@ class TestRunCommand:
             ({"period": 4, "duty": "0.5"}, "obs_duty"),
             ({"period": 4, "duty": 0.5, "offset_seed": "x"}, "offset_seed"),
             ({"period": 4, "duty": 0.5, "trans_period": math.nan}, "trans_period"),
+            ({"period": True, "duty": 0.5}, "obs_period"),
+            ({"period": 4, "duty": 0.5, "trans_duty": True}, "trans_duty"),
         ],
     )
     def test_non_numeric_synthetic_plan_value_exits_one(
@@ -247,6 +256,18 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, horizon=8)
         assert main(["sweep-v", "--config", str(cfg), "--v-list", "0"]) == 1
         assert main(["sweep-v", "--config", str(cfg), "--v-list=-5,100"]) == 1
+
+    @pytest.mark.parametrize("vlist, shown", [("1000,nan", "nan"), ("1000,x", "'x'")])
+    def test_bad_v_exits_one_before_any_run(
+        self, tmp_path, capsys, monkeypatch, vlist, shown
+    ):
+        calls = []
+        monkeypatch.setattr(simulator, "run", lambda *a, **k: calls.append(a))
+        cfg = write_config(tmp_path, horizon=8)
+        assert main(["sweep-v", "--config", str(cfg), "--v-list", vlist]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: control factor") and shown in err
+        assert calls == [] and not (tmp_path / "out" / "sweep_v.csv").exists()
 
     def test_missing_v_list_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, horizon=8)
@@ -363,6 +384,20 @@ class TestCsvContents:
         rows = sweep_v(c.config, c.plan, c.model, [1000.0, 8000.0], c.seeds, c.solver)
         expected = [[_fmt(r.v), _fmt(r.avg_utility), _fmt(r.avg_backlog)] for r in rows]
         assert data_rows(tmp_path / "out" / "sweep_v.csv") == expected
+
+
+def test_readme_desk_config_loads(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("### Config file")[1].split("```json\n")[1].split("```")[0]
+    path = tmp_path / "desk.json"
+    path.write_text(example)
+    monkeypatch.chdir(tmp_path)  # its output_dir is relative
+    loaded = load(path)
+    c = loaded.config
+    assert (c.num_targets, c.num_eos, c.num_destinations, c.horizon) == (8, 12, 2, 1440)
+    assert loaded.plan.obs_visible.shape == (1440, 8, 12)
+    assert loaded.solver.max_iters == 40 and loaded.seeds == [0, 1, 2, 3, 4]
+    assert loaded.outdir == Path("out")
 
 
 def test_readme_schemas_match_written_headers(tmp_path):

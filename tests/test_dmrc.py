@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from eosched import (
     ParameterError,
     QueueState,
     ScheduleValidationError,
+    SlotDecision,
     SolverParams,
     dmrc_step,
     fixed_cr_schedule,
@@ -449,6 +451,23 @@ class TestJosapSolve:
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             SolverParams(**{field: value})
 
+    @pytest.mark.parametrize("field", ["epsilon", "step_scale", "dual_init"])
+    @pytest.mark.parametrize("value", ["1", True, np.bool_(True), None])
+    def test_solver_params_must_be_numeric(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            SolverParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.7, 0, -1, "3", True, math.nan])
+    def test_max_iters_must_be_an_integer_of_at_least_one(self, value):
+        # 2.7 used to be truncated to 2, and "3" and True were accepted.
+        with pytest.raises(ParameterError, match="max_iters"):
+            SolverParams(max_iters=value)
+
+    def test_integral_max_iters_read_as_int(self):
+        for value in (40.0, np.int64(40)):
+            params = SolverParams(max_iters=value)
+            assert params == SolverParams() and type(params.max_iters) is int
+
     def test_quality_against_exact(self):
         cfg_base = make_config()
         rng = np.random.default_rng(100)
@@ -649,6 +668,136 @@ class TestPolicies:
             )
             d = dmrc_step(q, state, cfg)
             validate_decision(d, cfg, state, obs_mask, trans_mask)
+
+
+@st.composite
+def policy_slots(draw):
+    """A small slot: config, queues, channels and visibility masks.
+    Transmission contacts may have zero capacity, as under the default
+    channel model."""
+    I, K, N = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    trx = tuple(draw(st.lists(st.integers(1, 2), min_size=N, max_size=N)))
+    cfg = make_config(num_targets=I, num_eos=K, num_destinations=N, transceivers=trx)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obs_mask = rng.random((I, K)) < draw(st.sampled_from((0.2, 0.5, 1.0)))
+    trans_mask = rng.random((K, N)) < draw(st.sampled_from((0.2, 0.5, 1.0)))
+    B = np.where(obs_mask, rng.choice((600.0, 800.0, 1000.0), size=(I, K)), 0.0)
+    C = np.where(trans_mask, rng.choice((0.0, 200.0, 400.0), size=(K, N)), 0.0)
+    # Some queues empty, so that ties and idle satellites occur.
+    Q = np.where(rng.random((K, I)) < 0.3, 0.0, rng.uniform(0, 5000, (K, I)))
+    P = rng.uniform(0, 3000, I)
+    return cfg, queues(Q, P), ChannelState(B=B, C=C), obs_mask, trans_mask, rng
+
+
+class TestPolicyDecisionsAreValid:
+    @given(policy_slots(), st.sampled_from(("dmrc", "fixed_cr", "random")))
+    @settings(max_examples=300, deadline=None)
+    def test_validator_accepts_every_policy_decision(self, slot, policy):
+        cfg, q, state, obs_mask, trans_mask, rng = slot
+        if policy == "dmrc":
+            d = dmrc_step(q, state, cfg)
+        elif policy == "fixed_cr":
+            d = fixed_cr_schedule(q, state, cfg)
+        else:
+            d = random_schedule(q, state, cfg, rng, obs_mask, trans_mask)
+        validate_decision(d, cfg, state, obs_mask, trans_mask)
+
+
+class TestValidatorMessages:
+    """Each check of ``validate_decision`` rejects a valid decision once
+    its one constraint is broken, and names it."""
+
+    CFG = make_config(num_targets=2, num_eos=3, num_destinations=2, transceivers=1)
+    OBS_MASK = np.array([[1, 1, 0], [1, 1, 1]], dtype=bool)
+    TRANS_MASK = np.array([[1, 1], [1, 0], [1, 1]], dtype=bool)
+    STATE = ChannelState(
+        B=np.where(OBS_MASK, 800.0, 0.0), C=np.where(TRANS_MASK, 400.0, 0.0)
+    )
+
+    def valid(self):
+        """Target 0 imaged by satellite 0 and target 1 by satellite 1, at
+        ratio 1/2; satellite 0 sends flow 0 to destination 0 and satellite
+        2 sends flow 1 to destination 1."""
+        observe = np.array([[1, 0, 0], [0, 1, 0]])
+        rho = observe * 0.5
+        transmit = np.array([[1, 0], [0, 0], [0, 1]])
+        service = np.zeros((3, 2, 2))
+        service[0, 0, 0] = 400.0
+        service[2, 1, 1] = 200.0
+        return dict(
+            observe=observe, transmit=transmit, rho=rho,
+            arrivals=(rho * observe * self.STATE.B).T, service=service,
+        )
+
+    def check(self, fields):
+        validate_decision(
+            SlotDecision(**fields), self.CFG, self.STATE, self.OBS_MASK, self.TRANS_MASK
+        )
+
+    def test_base_decision_is_valid(self):
+        self.check(self.valid())
+
+    def break_one(self, name):
+        d = self.valid()
+        observe, transmit, rho, service = (
+            d[name] for name in ("observe", "transmit", "rho", "service")
+        )
+
+        def move_target(i, k_from, k_to):
+            observe[i, k_from], observe[i, k_to] = 0, 1
+            rho[i, k_from], rho[i, k_to] = 0.0, 0.5
+
+        if name == "binary":
+            transmit[1, 0] = 2
+        elif name == "observation contact":
+            move_target(0, 0, 2)  # (0, 2) is no contact
+        elif name == "transmission contact":
+            transmit[2, 1], transmit[1, 1] = 0, 1  # (1, 1) is no contact
+            service[2, 1, 1] = 0.0
+        elif name == "satellite observes two":
+            move_target(1, 1, 0)
+        elif name == "target observed twice":
+            observe[1, 2], rho[1, 2] = 1, 0.5
+        elif name == "satellite sends to two":
+            transmit[2, 1], transmit[0, 1] = 0, 1
+            service[2, 1, 1], service[0, 1, 1] = 0.0, 200.0
+        elif name == "transceiver limit":
+            transmit[1, 0] = 1
+        elif name == "negative service":
+            service[1, 1, 0] = -1.0
+        elif name == "service over capacity":
+            service[0, 0, 1] = 1.0
+        elif name == "ratio outside set":
+            rho[0, 0] = 0.9
+        elif name == "ratio on unscheduled pair":
+            rho[0, 1] = 0.5
+        d["arrivals"] = (rho * observe * self.STATE.B).T
+        if name == "arrivals":
+            d["arrivals"][0, 0] += 1.0
+        return d
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("binary", "schedules must be binary"),
+            ("observation contact", "observation scheduled outside a contact"),
+            ("transmission contact", "transmission scheduled outside a contact"),
+            ("satellite observes two", "satellite observes more than one target"),
+            ("target observed twice", "target observed by more than one satellite"),
+            ("satellite sends to two",
+             "satellite transmits to more than one destination"),
+            ("transceiver limit", "destination transceiver limit exceeded"),
+            ("negative service", "negative service volume"),
+            ("service over capacity", "service exceeds scheduled link capacity"),
+            ("ratio outside set", "compression ratio outside the allowed set"),
+            ("ratio on unscheduled pair",
+             "compression ratio set on an unscheduled pair"),
+            ("arrivals", "arrivals inconsistent with schedule, ratio and capacity"),
+        ],
+    )
+    def test_one_broken_constraint_is_named(self, name, message):
+        with pytest.raises(ScheduleValidationError, match=f"^{re.escape(message)}$"):
+            self.check(self.break_one(name))
 
 
 class TestValidator:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eosched import (
     ChannelModel,
@@ -69,6 +72,49 @@ class TestVirtualQueueUpdate:
         for _ in range(100):
             s = update_virtual_queues(s, [12.0], [10.0])
         assert s.deficit[0] == 0.0
+
+
+volumes = st.floats(0.0, 1e6, allow_subnormal=False)
+
+
+@st.composite
+def queue_slots(draw):
+    """Nonnegative (K, I) data queues, arrivals and service, and (I,)
+    deficits, arrivals per flow and floors."""
+    K, I = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pair = hnp.arrays(float, (K, I), elements=volumes)
+    flow = hnp.arrays(float, I, elements=volumes)
+    return draw(pair), draw(pair), draw(pair), draw(flow), draw(flow), draw(flow)
+
+
+class TestQueueProperties:
+    @given(queue_slots())
+    def test_data_update_drains_then_adds(self, slot):
+        data, arrivals, service, deficit, _, _ = slot
+        got = update_data_queues(state(data, deficit), arrivals, service)
+        assert np.array_equal(got.data, np.maximum(data - service, 0.0) + arrivals)
+        assert (got.data >= 0).all()
+        assert np.array_equal(got.deficit, deficit)
+
+    @given(queue_slots())
+    def test_virtual_update_follows_its_recursion(self, slot):
+        data, _, _, deficit, flow_arrivals, floors = slot
+        got = update_virtual_queues(state(data, deficit), flow_arrivals, floors)
+        for i in range(len(deficit)):
+            assert got.deficit[i] == max(deficit[i] + floors[i] - flow_arrivals[i], 0.0)
+        assert np.array_equal(got.data, data)
+
+    @given(queue_slots(), st.sampled_from(("arrivals", "service", "flow")), st.data())
+    def test_negative_inputs_raise(self, slot, which, data):
+        queue, arrivals, service, deficit, flow_arrivals, floors = slot
+        target = dict(arrivals=arrivals, service=service, flow=flow_arrivals)[which]
+        index = data.draw(st.tuples(*(st.integers(0, n - 1) for n in target.shape)))
+        target[index] = -data.draw(st.floats(1e-9, 1e6))
+        with pytest.raises(ParameterError, match="nonnegative"):
+            if which == "flow":
+                update_virtual_queues(state(queue, deficit), flow_arrivals, floors)
+            else:
+                update_data_queues(state(queue, deficit), arrivals, service)
 
 
 class TestLyapunov:

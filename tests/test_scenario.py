@@ -59,6 +59,12 @@ class TestConfigValues:
             ("control_factor", math.inf),
             ("slot_length", math.nan),
             ("compression_set", (2 / 3, math.nan)),
+            # float() reads these as numbers.
+            ("control_factor", "8000"),
+            ("slot_length", True),
+            ("rate_floors", True),
+            ("rate_floors", (0.0, np.bool_(False))),
+            ("compression_set", (2 / 3, "0.5")),
         ],
     )
     def test_non_finite_network_value_names_field(self, field, value):
@@ -72,6 +78,8 @@ class TestConfigValues:
             ("obs_probs", (math.nan, 0.5, 0.5)),
             ("trans_support", (0.0, math.inf, 400.0)),
             ("trans_probs", (1 / 3, 1 / 3, "x")),
+            ("obs_support", (600.0, "800", 1000.0)),
+            ("trans_probs", (True, 0, 0)),
         ],
     )
     def test_non_finite_channel_value_names_field(self, field, value):
@@ -91,6 +99,11 @@ class TestConfigValues:
             ("horizon", "x"),
             ("rng_seed", 0.5),
             ("rng_seed", -1),
+            ("num_targets", "3"),
+            ("num_eos", True),
+            ("horizon", np.bool_(True)),
+            ("transceivers", (1, True)),
+            ("rng_seed", "0"),
         ],
     )
     def test_non_integral_count_names_field(self, field, value):

@@ -18,6 +18,7 @@ from eosched import (
     run,
     sweep_v,
 )
+from eosched import simulator
 from conftest import desk_config, desk_plan, make_config
 
 
@@ -218,6 +219,30 @@ class TestAverageMetrics:
         assert s.obs_utilization == 0.0
 
 
+class TestRunSeed:
+    @pytest.mark.parametrize("seed", [1.5, -1, math.nan, True, np.bool_(False), "2"])
+    def test_bad_seed_raises_parameter_error(self, model, seed):
+        # 1.5 used to run seed 1, -1 escaped as numpy's ValueError, and
+        # True and "2" ran seeds 1 and 2.
+        cfg, plan = small_scenario(horizon=3)
+        with pytest.raises(ParameterError, match="seed"):
+            run(cfg, plan, model, "dmrc", seed=seed)
+
+    def test_integral_seeds_of_any_type_run_the_same_seed(self, model):
+        cfg, plan = small_scenario(horizon=20)
+        series = [
+            run(cfg, plan, model, "random", seed=seed).metrics.utility
+            for seed in (2, 2.0, np.int64(2))
+        ]
+        assert all(np.array_equal(series[0], other) for other in series[1:])
+
+    def test_default_seed_is_the_config_seed(self, model):
+        cfg, plan = small_scenario(horizon=20, rng_seed=4)
+        a = run(cfg, plan, model, "random").metrics.utility
+        b = run(cfg, plan, model, "random", seed=4).metrics.utility
+        assert np.array_equal(a, b)
+
+
 class TestSweep:
     def test_single_value_matches_run(self, model):
         cfg, plan = small_scenario(horizon=40)
@@ -235,6 +260,25 @@ class TestSweep:
         cfg, plan = small_scenario(horizon=5)
         with pytest.raises(ParameterError):
             sweep_v(cfg, plan, model, [100.0], [])
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -5.0, 0, "8000", True, np.bool_(True), None]
+    )
+    def test_checks_every_value_before_the_first_run(self, model, monkeypatch, bad):
+        # A bad value used to surface only when its turn came, after the
+        # runs at every earlier value, and as NetworkConfig's ConfigError.
+        cfg, plan = small_scenario(horizon=5)
+        calls = []
+        monkeypatch.setattr(simulator, "run", lambda *a, **k: calls.append(a))
+        with pytest.raises(ParameterError, match="control factor"):
+            sweep_v(cfg, plan, model, [1000, bad], [1])
+        assert calls == []
+
+    def test_values_are_read_as_floats(self, model):
+        cfg, plan = small_scenario(horizon=5)
+        rows = sweep_v(cfg, plan, model, (v for v in [np.int64(1000), 2000]), [1])
+        assert [row.v for row in rows] == [1000.0, 2000.0]
+        assert all(type(row.v) is float for row in rows)
 
 
 class TestCompare:
