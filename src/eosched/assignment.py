@@ -23,6 +23,10 @@ from .errors import ConfigError, OracleSizeError
 
 Matching = list[tuple[int, int]]
 
+# Positive entries from which numpy prices a matching problem: below
+# this, its fixed cost per call exceeds the Python loops it replaces.
+_VECTORIZE_FROM = 100
+
 
 @dataclass(frozen=True)
 class AssignmentProblem:
@@ -39,12 +43,51 @@ class AssignmentProblem:
         if not np.isfinite(w).all():
             raise ConfigError("weights must be finite")
         object.__setattr__(self, "weights", w)
-        mult = tuple(map(int, self.col_multiplicity))
+        mult = tuple(self.col_multiplicity)
+        if not {int}.issuperset(map(type, mult)):
+            # numpy integers and integral floats become ints; fractions
+            # and bools are rejected instead of truncated. Imported here
+            # so that the callers' plain ints pay nothing for it.
+            from .scenario import _integer
+
+            mult = tuple(_integer(m, "column multiplicities") for m in mult)
         if len(mult) != w.shape[1]:
             raise ConfigError("col_multiplicity must have one entry per column")
         if mult and min(mult) < 1:
             raise ConfigError("column multiplicities must be positive")
         object.__setattr__(self, "col_multiplicity", mult)
+
+
+def _dual_prices(w: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row prices (v, u) for the clamped weights `w` and a
+    matching `held`: each row's column, or w.shape[1] where unmatched.
+
+    Any column prices v >= 0, with row prices u_r = max(0, max_c w[r, c]
+    - v_c), are feasible for the dual of the matching LP, so by weak
+    duality a matching that gives row r column c weighs at most
+    sum(u) + sum(caps_c v_c) - (u_r - w[r, c] + v_c). Prices are raised
+    along alternating paths of `held` (longest paths, Bellman-Ford)
+    until every held pair is tight, which makes the bound exact where
+    `held` is optimal. Zero entries count as pairs of weight 0: where
+    `held` is optimal their constraints are already met, and elsewhere
+    any prices are still feasible.
+    """
+    free = held == w.shape[1]
+    # An unmatched row has u_r = 0, so each of its weights bounds v.
+    v = w[free].max(axis=0, initial=0.0)
+    # A row matched to c keeps u_r = w[r, c] - v_c only if moving it to
+    # c2 gains nothing: v_c2 >= v_c - w[r, c] + w[r, c2].
+    cols = held[~free]
+    moves = w[~free]
+    own = moves[np.arange(cols.size), cols]
+    for _ in range(w.shape[1]):
+        raised = np.maximum(
+            v, ((v[cols] - own)[:, None] + moves).max(axis=0, initial=0.0)
+        )
+        if (raised == v).all():
+            break
+        v = raised
+    return v, (w - v).max(axis=1, initial=0.0)
 
 
 class _Component:
@@ -54,7 +97,7 @@ class _Component:
     positive weights by column. A component with at least 2 rows and 2
     columns is the only shape that needs the solver; its clamped weights
     are built on first use, and it keeps the dual prices that decide
-    which trials can still tie (see `price`).
+    which trials can still tie (see `_dual_prices`).
     """
 
     def __init__(
@@ -75,30 +118,28 @@ class _Component:
     def price(
         self, i: int, kept: int | None, incumbent: dict[int, int], caps: list[int]
     ) -> None:
-        """Dual prices of the subproblem on rows[i:] under capacities
-        `caps`, where row i holds `kept` and later rows follow
-        `incumbent`.
-
-        Any column prices v >= 0, with row prices u_r = max(0, max_c
-        w[r, c] - v_c), are feasible for the dual of the matching LP, so
-        by weak duality the rows after r can gain at most
-        sum(u_r' for r' > r) + sum(caps_c v_c) - v_c once row r takes
-        column c. Prices are raised along alternating paths of the
-        incumbent (longest paths, Bellman-Ford) until every incumbent
-        pair is tight, which makes the bound exact where the incumbent
-        is optimal. `gap` is the dual objective minus the incumbent's
-        weight on rows[i:].
-        """
+        """Price the subproblem on rows[i:] under capacities `caps`,
+        where row i holds `kept` and later rows follow `incumbent`, by
+        the recurrence of `_dual_prices`. Below _VECTORIZE_FROM edges the
+        recurrence runs over the edge maps in Python: there it costs
+        less than numpy's calls."""
         rows, edges = self.rows[i:], self.edges
         held = [kept] + [incumbent.get(r) for r in rows[1:]]
+        # The block's size bounds its edge count, and costs nothing.
+        if len(rows) * len(self.cols) >= _VECTORIZE_FROM and (
+            sum(map(len, map(edges.__getitem__, rows))) >= _VECTORIZE_FROM
+        ):
+            index = {c: j for j, c in enumerate(self.cols)}
+            local = np.array([len(index) if c is None else index[c] for c in held])
+            v, u = _dual_prices(self.clamped[i:], local)
+            v, u = dict(zip(self.cols, v.tolist())), dict(zip(rows, u.tolist()))
+            self.adopt(i, held, caps, v, u)
+            return
         v = dict.fromkeys(self.cols, 0.0)
-        # An unmatched row has u_r = 0, so each of its weights bounds v.
         for r, c in zip(rows, held):
             if c is None:
                 for c2, w in edges[r].items():
                     v[c2] = max(v[c2], w)
-        # A row matched to c keeps u_r = w[r, c] - v_c only if moving it
-        # to c2 gains nothing: v_c2 >= v_c - w[r, c] + w[r, c2].
         matched = [(edges[r], c) for r, c in zip(rows, held) if c is not None]
         for _ in range(len(self.cols)):
             raised = False
@@ -111,15 +152,33 @@ class _Component:
             if not raised:
                 break
         u = {r: max(0.0, max(w - v[c] for c, w in edges[r].items())) for r in rows}
-        own = sum(row[c] for row, c in matched)
-        self.col_prices, self.row_prices = v, u
-        self.gap = sum(u.values()) + sum(caps[c] * v[c] for c in self.cols) - own
+        self.adopt(i, held, caps, v, u)
+
+    def adopt(
+        self,
+        i: int,
+        held: list[int | None],
+        caps: list[int],
+        col_prices: dict[int, float],
+        row_prices: dict[int, float],
+    ) -> None:
+        """Take dual prices for this component's columns and for
+        rows[i:], which hold `held`; `gap` is the dual objective of that
+        subproblem under capacities `caps` minus the weight held."""
+        edges = self.edges
+        own = sum(edges[r][c] for r, c in zip(self.rows[i:], held) if c is not None)
+        self.col_prices, self.row_prices = col_prices, row_prices
+        self.gap = (
+            sum(row_prices.values())
+            + sum(caps[c] * col_prices[c] for c in self.cols)
+            - own
+        )
 
     def viable(
         self, r: int, row: dict[int, float], options: list[int], slack: float
     ) -> list[int]:
         """The options of row r whose trial can still reach the
-        incumbent's total, by the dual bound of `price`."""
+        incumbent's total, by the dual bound of `_dual_prices`."""
         floor = self.row_prices[r] - self.gap - slack
         return [c for c in options if row[c] - self.col_prices[c] >= floor]
 
@@ -201,28 +260,92 @@ def _components(
     return components
 
 
+def _first_solve(
+    weights: np.ndarray, caps: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clamped weights and an optimal matching of the whole problem,
+    as ascending rows and their columns: one solve on the clamped matrix
+    with each column repeated per its capacity."""
+    clamped = np.maximum(weights, 0.0)
+    col_ids = np.repeat(np.arange(weights.shape[1]), caps)
+    full = clamped[:, col_ids]
+    rr, cc = linear_sum_assignment(full, maximize=True)
+    keep = full[rr, cc] > 0.0
+    return clamped, rr[keep], col_ids[cc[keep]]
+
+
+def _certify(
+    clamped: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    caps: list[int],
+    slack: float,
+) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Whether the optimal matching of `rows` to `cols` is proved the
+    lexicographically smallest optimum by its dual prices (see
+    `_dual_prices`), and those prices (v, u).
+
+    It is when no option of the row loop passes `_Component.viable`'s
+    test: a positive entry of row r in a column smaller than its own
+    (any column if r is unmatched) with capacity left after the earlier
+    rows keep theirs. A matching that first leaves the incumbent there
+    weighs at most the optimal total plus the gap left at row r minus
+    the entry's reduced cost, and so falls short of it by more than
+    `slack`.
+    """
+    R, C = clamped.shape
+    held = np.full(R, C)
+    held[rows] = cols
+    v, u = _dual_prices(clamped, held)
+    # The gap left at row r once the rows before it keep their column,
+    # as _Component.commit carries it: what rows r.. add to the dual
+    # beyond their own weight, spent_r = u_r - (w[r, held_r] - v_held_r),
+    # plus the price of idle capacity.
+    tight = np.zeros(R)
+    tight[rows] = clamped[rows, cols] - v[cols]
+    spent = u - tight
+    idle = np.dot(caps, v) - v[cols].sum()
+    floor = tight - (spent.sum() - np.cumsum(spent)) - (idle + slack)
+    order = np.arange(C)
+    options = (
+        (clamped > 0.0)
+        & (order < held[:, None])
+        & (np.cumsum(held[:, None] == order, axis=0) < caps)
+    )
+    return not (options & (clamped - v >= floor[:, None])).any(), v, u
+
+
 def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     """Globally optimal partial matching, lexicographically smallest
     among ties.
 
-    Only positive weights can be matched, so the problem splits into the
-    connected components of its positive-weight bipartite graph. A first
-    solve fixes the optimal total and an incumbent matching. Rows are
-    then committed in index order: a row keeps the smallest column that
-    still completes to the optimal total, verified by re-solving the
-    remaining rows of its own component only; the incumbent's column is
-    committed without a solve when no smaller one works.
-
     When no row has two positive entries and no column more than its
     multiplicity, those entries are the matching and are returned at
-    once. Otherwise, components of a single row or a single column need
-    no solve: a row takes the smallest column of maximal weight, a
-    column of capacity m the top m rows by (weight descending, row
-    ascending). Only components with at least 2 rows and 2 columns call
-    the solver, over their own rows and columns, and only for trials
-    that LP duality cannot rule out (`_Component.price`): a trial on a
-    pair whose reduced cost under the incumbent's dual prices is clearly
-    nonzero cannot reach the optimal total and is skipped.
+    once.
+
+    Otherwise only positive weights can be matched, so the problem
+    splits into the connected components of its positive-weight
+    bipartite graph. When some component has at least 2 rows and 2
+    columns, a first solve on the whole clamped, column-replicated
+    matrix fixes the optimal total and an incumbent matching. With at
+    least _VECTORIZE_FROM positive entries, one set of dual prices for
+    that incumbent (`_certify`) is then tested against every pair the
+    row loop below would try; if none can reach the optimal total, the
+    incumbent is the lexicographically smallest optimum and is returned
+    at once. Below that size numpy's fixed cost per call exceeds what
+    the test can save.
+
+    Else rows are committed in index order: a row keeps the smallest
+    column that still completes to the optimal total, verified by
+    re-solving the remaining rows of its own component only; the
+    incumbent's column is committed without a solve when no smaller one
+    works. Components of a single row or a single column need no solve:
+    a row takes the smallest column of maximal weight, a column of
+    capacity m the top m rows by (weight descending, row ascending).
+    Trials that LP duality rules out are skipped (`_Component.viable`):
+    the loop starts from the prices of `_certify` where they were
+    computed, prices a component when it first needs them otherwise,
+    and prices it again after a trial has replaced its incumbent.
 
     Totals are compared as correctly-rounded sums (math.fsum) over the
     whole matching, so the equality test is exact for any weight
@@ -231,11 +354,10 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     total sums the committed weights, the other components' incumbent
     weights, the candidate and the component's re-solved tail, and is
     compared with the first solve's total; comparing per-component
-    totals instead accepts different near-ties. And whenever some
-    component needs the solver, the first solve runs on the whole
-    clamped, column-replicated matrix: a solve of a component alone can
-    come back one unit in the last place short and so change which
-    matching ties.
+    totals instead accepts different near-ties. And the first solve
+    runs on the whole matrix: a solve of a component alone can come
+    back one unit in the last place short and so change which matching
+    ties.
     """
     weights = p.weights
     er, ec = np.nonzero(weights > 0.0)
@@ -249,23 +371,52 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
         # The positive entries already form a matching: it is the only
         # optimum, since leaving any of them out loses weight.
         return list(zip(rows, cols)), math.fsum(values)
+    caps = list(p.col_multiplicity)
+    first = None
+    # _certify costs a few dozen numpy calls whatever the size; what it
+    # can save, the edge maps, the component search and the row loop,
+    # costs about a microsecond per positive entry. A component has 2
+    # rows and 2 columns when some positive entry shares its row and its
+    # column with others.
+    priced = len(rows) >= _VECTORIZE_FROM and bool(
+        (
+            (np.bincount(er, minlength=weights.shape[0])[er] > 1)
+            & (np.bincount(ec, minlength=weights.shape[1])[ec] > 1)
+        ).any()
+    )
+    if priced:
+        clamped, inc_rows, inc_cols = first = _first_solve(weights, caps)
+        total = math.fsum(clamped[inc_rows, inc_cols].tolist())
+        certified, col_prices, row_prices = _certify(
+            clamped, inc_rows, inc_cols, caps, 1e-9 * total
+        )
+        if certified:
+            return list(zip(inc_rows.tolist(), inc_cols.tolist())), total
+
     edges: dict[int, dict[int, float]] = {}
     for r, c, w in zip(rows, cols, values):
         edges.setdefault(r, {})[c] = w
-    caps = list(p.col_multiplicity)
     components = _components(edges, weights)
     position = {r: (comp, i) for comp in components for i, r in enumerate(comp.rows)}
-
-    if any(comp.solves for comp in components):
-        col_ids = np.repeat(np.arange(len(caps)), caps)
-        full = np.maximum(weights[:, col_ids], 0.0)
-        rr, cc = linear_sum_assignment(full, maximize=True)
-        keep = full[rr, cc] > 0.0
-        incumbent = dict(zip(rr[keep].tolist(), col_ids[cc[keep]].tolist()))
-    else:
+    if first is None and any(comp.solves for comp in components):
+        first = _first_solve(weights, caps)
+    if first is None:
         incumbent = {}
         for comp in components:
             incumbent.update(comp.completion(0, caps)[1])
+    else:
+        incumbent = dict(zip(first[1].tolist(), first[2].tolist()))
+    if priced:
+        v, u = col_prices.tolist(), row_prices.tolist()
+        for comp in components:
+            if comp.solves:
+                comp.adopt(
+                    0,
+                    [incumbent.get(r) for r in comp.rows],
+                    caps,
+                    {c: v[c] for c in comp.cols},
+                    {r: u[r] for r in comp.rows},
+                )
     best_total = math.fsum(edges[r][c] for r, c in incumbent.items())
     # Margin of the dual skip test: far above the rounding error of the
     # solver and of the prices, far below any weight gap it must catch.

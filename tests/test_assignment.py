@@ -161,6 +161,20 @@ def test_problem_validation():
         AssignmentProblem(np.ones((2, 2)), (1, 0))
 
 
+@pytest.mark.parametrize("mults", [(1.9,), (True,), (np.True_,), ("2",), (2.5, 1)])
+def test_non_integral_or_bool_multiplicity_rejected(mults):
+    from eosched import ConfigError
+
+    with pytest.raises(ConfigError, match="column multiplicities"):
+        AssignmentProblem(np.ones((3, len(mults))), mults)
+
+
+def test_numpy_and_integral_float_multiplicities_read_as_ints():
+    p = AssignmentProblem(np.ones((3, 3)), (np.int64(2), 1, 2.0))
+    assert p.col_multiplicity == (2, 1, 2)
+    assert all(type(m) is int for m in p.col_multiplicity)
+
+
 def solve_sparse(shape, entries, mults):
     w = np.zeros(shape)
     for (r, c), value in entries.items():
@@ -360,14 +374,22 @@ NEAR_TIES = [53333.3333333333, 53333.33333333333, 26666.66666666665,
 
 
 class TestAgainstWholeProblemMatcher:
-    @pytest.mark.parametrize("seed", range(15))
+    @pytest.mark.parametrize("seed", range(40))
     def test_transmission_like(self, seed):
-        # Backlog times capacity: every row's weights tie up to a factor 2.
+        # Seeds 0-14, backlog times capacity: every row's weights tie up
+        # to a factor 2. Seeds 15-29, raw capacities, as Fixed-CR weighs
+        # them: whole rows tie. Seeds 30-39, raw capacities (even) and
+        # backlog times capacity (odd) at constellation scale, 60
+        # satellites and 6 destinations of 4 transceivers.
         rng = np.random.default_rng(5000 + seed)
-        R, C = int(rng.integers(10, 30)), int(rng.integers(2, 6))
-        q = rng.uniform(0, 500, R) / 3
+        R, C = (int(rng.integers(10, 30)), int(rng.integers(2, 6))) if seed < 30 else (60, 6)
+        raw = 15 <= seed < 30 or seed >= 30 and seed % 2 == 0
+        q = np.ones(R) if raw else rng.uniform(0, 500, R) / 3
         w = q[:, None] * rng.choice([0.0, 200.0, 400.0], size=(R, C))
-        mults = tuple(int(m) for m in rng.integers(1, 5, size=C))
+        if seed < 30:
+            mults = tuple(int(m) for m in rng.integers(1, 5, size=C))
+        else:
+            mults = (4,) * C
         assert solve(w, mults) == whole_problem_matching(w, mults)
 
     @pytest.mark.parametrize("seed", range(15))
@@ -385,6 +407,56 @@ class TestAgainstWholeProblemMatcher:
         w = np.where(rng.random((R, C)) < 0.5, rng.choice(NEAR_TIES, (R, C)), 0.0)
         mults = tuple(int(m) for m in rng.integers(1, 3, size=C))
         assert solve(w, mults) == whole_problem_matching(w, mults)
+
+
+class TestCertificate:
+    """At 100 or more positive entries the first solve is returned as it
+    is when its dual prices rule out every trial of the row loop."""
+
+    def counting(self, monkeypatch):
+        import eosched.assignment as assignment
+
+        counts = {"solves": 0, "components": 0}
+
+        def solver(*args, **kwargs):
+            counts["solves"] += 1
+            return linear_sum_assignment(*args, **kwargs)
+
+        def components(*args, **kwargs):
+            counts["components"] += 1
+            return real_components(*args, **kwargs)
+
+        real_components = assignment._components
+        monkeypatch.setattr(assignment, "linear_sum_assignment", solver)
+        monkeypatch.setattr(assignment, "_components", components)
+        return counts
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lexmin_first_solve_returns_after_one_solve(self, monkeypatch, seed):
+        # Raw capacities of 60 satellites to 6 destinations of 4
+        # transceivers, as Fixed-CR's transmission matching weighs them.
+        rng = np.random.default_rng(9000 + seed)
+        w = rng.choice([0.0, 200.0, 400.0], size=(60, 6))
+        counts = self.counting(monkeypatch)
+        got = solve(w, (4,) * 6)
+        assert counts == {"solves": 1, "components": 0}
+        assert got == whole_problem_matching(w, (4,) * 6)
+
+    def test_near_tie_in_a_smaller_column_keeps_the_row_loop(self, monkeypatch):
+        # Row 0 alone sees columns 0 and 1, whose weights differ by less
+        # than the slack: the first solve gives it the larger, column 1,
+        # and its trial of column 0 stays open. In the rounded total of
+        # the whole matching the two tie, so column 0 is the answer.
+        rng = np.random.default_rng(9100)
+        w = np.zeros((31, 6))
+        w[0, 0], w[0, 1] = NEAR_TIES[0], NEAR_TIES[1]
+        w[1:, 2:] = rng.choice(NEAR_TIES, size=(30, 4))
+        mults = (1, 1, 8, 8, 8, 8)
+        counts = self.counting(monkeypatch)
+        got = solve(w, mults)
+        assert counts["components"] == 1
+        assert got[0][0] == (0, 0)
+        assert got == whole_problem_matching(w, mults)
 
 
 def test_trials_on_pairs_off_the_dual_optimum_need_no_solve(monkeypatch):

@@ -346,6 +346,27 @@ def test_constellation_dmrc_trajectory_is_pinned(model):
     )
 
 
+def test_constellation_fixed_cr_trajectory_is_pinned(model):
+    """A constellation-scale Fixed-CR run (30 targets, 60 satellites, 6
+    destinations with 4 transceivers each, 48 slots), bit for bit. Its
+    transmission matchings weigh raw capacities, so many satellites tie
+    between destinations; the metric series cannot tell which one was
+    chosen, so the ledger's admitted and forwarded volumes are hashed
+    too. Only a change that states a behaviour change may record a new
+    digest."""
+    cfg = desk_config(num_targets=30, num_eos=60, num_destinations=6,
+                      transceivers=4, horizon=48)
+    result = run(cfg, desk_plan(cfg), model, "fixed_cr", seed=0)
+    digest = hashlib.sha256()
+    for name in ("utility", "backlog", "virtual_backlog", "flow_arrivals", "delivered"):
+        digest.update(getattr(result.metrics, name).tobytes())
+    digest.update(result.ledger.joc_volume.tobytes())
+    digest.update(result.ledger.fwd_volume.tobytes())
+    assert digest.hexdigest() == (
+        "c4e1d99e384b98209c008b1a137341e24a3d9a6e4df6d31977d4b7aec5de29ad"
+    )
+
+
 def _slot_by_slot_series(slots, plan):
     """The per-slot series as the slot loop once filled them, slot by
     slot, from each slot's arrivals, shipped and stored volumes and the
