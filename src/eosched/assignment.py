@@ -315,6 +315,76 @@ def _certify(
     return not (options & (clamped - v >= floor[:, None])).any(), v, u
 
 
+def _star_forest(
+    rows: list[int], cols: list[int], mults
+) -> list[tuple[int, list[int]]] | None:
+    """The stars of the entries at (rows[j], cols[j]), given in row-major
+    order, as `_star_matching` takes them, or None when some entry shares
+    its row and its column with other entries.
+
+    A star is a row's entries, which that row can match once, or a
+    column's entries beyond its multiplicity mults[c]; an entry in
+    neither is matched whenever its weight is positive.
+    """
+    by_row: dict[int, list[int]] = {}
+    by_col: dict[int, list[int]] = {}
+    for j, (r, c) in enumerate(zip(rows, cols)):
+        by_row.setdefault(r, []).append(j)
+        by_col.setdefault(c, []).append(j)
+    stars = [(1, star) for star in by_row.values() if len(star) > 1]
+    in_rows = {j for _, star in stars for j in star}
+    for c, star in by_col.items():
+        if len(star) > 1:
+            if not in_rows.isdisjoint(star):
+                return None
+            if len(star) > mults[c]:
+                stars.append((mults[c], star))
+    return stars
+
+
+def _star_matching(
+    weights: list[float], stars: list[tuple[int, list[int]]]
+) -> list[bool] | None:
+    """Which entries max_weight_assignment matches when the positive
+    entries form stars, or None where this closed form cannot tell.
+
+    `weights` are the entries in row-major order, of any sign, and
+    `stars` their grouping by `_star_forest`. Each component of the
+    positive entries is then one row or one column, and its incumbent
+    (`_Component.completion`) takes each star's top m positive entries
+    by (weight descending, index ascending). The row loop leaves that
+    only for a trial whose rounded total ties: a row's smaller column,
+    of lower weight, or a column's row outside the top m that comes
+    before a top row, in place of the weakest top row after it. Each
+    trial falls short of the total by that difference in weight. Where
+    one is within the loop's slack, far above the rounding of a
+    correctly rounded sum, the answer is None and the caller runs the
+    matcher.
+    """
+    matched = [w > 0.0 for w in weights]
+    if not stars:
+        return matched
+    gap = math.inf
+    for m, star in stars:
+        live = [j for j in star if matched[j]]
+        if len(live) <= m:
+            continue
+        # sorted is stable under reverse, so equal weights keep index order.
+        for j in sorted(live, key=weights.__getitem__, reverse=True)[m:]:
+            matched[j] = False
+        weakest = math.inf
+        for j in reversed(live):
+            if matched[j]:
+                weakest = min(weakest, weights[j])
+            else:
+                gap = min(gap, weakest - weights[j])
+    if gap < math.inf and gap <= 1e-9 * math.fsum(
+        w for w, m in zip(weights, matched) if m
+    ):
+        return None
+    return matched
+
+
 def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     """Globally optimal partial matching, lexicographically smallest
     among ties.
@@ -325,27 +395,29 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
 
     Otherwise only positive weights can be matched, so the problem
     splits into the connected components of its positive-weight
-    bipartite graph. When some component has at least 2 rows and 2
-    columns, a first solve on the whole clamped, column-replicated
-    matrix fixes the optimal total and an incumbent matching. With at
-    least _VECTORIZE_FROM positive entries, one set of dual prices for
-    that incumbent (`_certify`) is then tested against every pair the
-    row loop below would try; if none can reach the optimal total, the
-    incumbent is the lexicographically smallest optimum and is returned
-    at once. Below that size numpy's fixed cost per call exceeds what
-    the test can save.
+    bipartite graph. When none has 2 rows and 2 columns, every component
+    is a star around one row or one column, and `_star_matching` gives
+    the answer in closed form unless a trial could tie. When some
+    component has at least 2 rows and 2 columns, a first solve on the
+    whole clamped, column-replicated matrix fixes the optimal total and
+    an incumbent matching. With at least _VECTORIZE_FROM positive
+    entries, one set of dual prices for that incumbent (`_certify`) is
+    then tested against every pair the row loop below would try; if
+    none can reach the optimal total, the incumbent is the
+    lexicographically smallest optimum and is returned at once. Below
+    that size numpy's fixed cost per call exceeds what the test can
+    save.
 
     Else rows are committed in index order: a row keeps the smallest
     column that still completes to the optimal total, verified by
     re-solving the remaining rows of its own component only; the
     incumbent's column is committed without a solve when no smaller one
-    works. Components of a single row or a single column need no solve:
-    a row takes the smallest column of maximal weight, a column of
-    capacity m the top m rows by (weight descending, row ascending).
-    Trials that LP duality rules out are skipped (`_Component.viable`):
-    the loop starts from the prices of `_certify` where they were
-    computed, prices a component when it first needs them otherwise,
-    and prices it again after a trial has replaced its incumbent.
+    works. Components of a single row or a single column need no solve
+    (`_Component.completion`). Trials that LP duality rules out are
+    skipped (`_Component.viable`): the loop starts from the prices of
+    `_certify` where they were computed, prices a component when it
+    first needs them otherwise, and prices it again after a trial has
+    replaced its incumbent.
 
     Totals are compared as correctly-rounded sums (math.fsum) over the
     whole matching, so the equality test is exact for any weight
@@ -397,9 +469,14 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     for r, c, w in zip(rows, cols, values):
         edges.setdefault(r, {})[c] = w
     components = _components(edges, weights)
-    position = {r: (comp, i) for comp in components for i, r in enumerate(comp.rows)}
-    if first is None and any(comp.solves for comp in components):
+    if not any(comp.solves for comp in components):
+        matched = _star_matching(values, _star_forest(rows, cols, caps))
+        if matched is not None:
+            matching = [(r, c) for r, c, m in zip(rows, cols, matched) if m]
+            return matching, math.fsum(w for w, m in zip(values, matched) if m)
+    elif first is None:
         first = _first_solve(weights, caps)
+    position = {r: (comp, i) for comp in components for i, r in enumerate(comp.rows)}
     if first is None:
         incumbent = {}
         for comp in components:

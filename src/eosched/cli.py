@@ -80,7 +80,7 @@ def _load(path: str, args) -> _Loaded:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
     if not isinstance(raw, dict):
@@ -98,10 +98,10 @@ def _load(path: str, args) -> _Loaded:
     if "plan_file" in raw and "plan_synthetic" in raw:
         raise ConfigError("specify plan_file or plan_synthetic, not both")
     if "plan_file" in raw:
-        plan_path = Path(raw["plan_file"])
+        plan_path = _path(raw["plan_file"], "plan_file")
         if not plan_path.is_absolute():
             plan_path = Path(path).parent / plan_path
-        if not plan_path.exists():
+        if not plan_path.is_file():
             raise ConfigError(f"contact-plan file not found: {plan_path}")
         plan = load_contact_plan(plan_path, config)
     elif "plan_synthetic" in raw:
@@ -123,9 +123,24 @@ def _load(path: str, args) -> _Loaded:
     if not seeds:
         raise ConfigError("at least one seed is required")
 
-    outdir = Path(args.out or raw.get("output_dir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    if args.out:
+        outdir = Path(args.out)
+    else:
+        outdir = _path(raw.get("output_dir", "."), "output_dir")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {outdir}: {exc.strerror}"
+        ) from None
     return _Loaded(config, model, plan, solver, seeds, outdir)
+
+
+def _path(value, key: str) -> Path:
+    """A config value that names a file or directory."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path string, got {value!r}")
+    return Path(value)
 
 
 def _number(text: str):
@@ -252,10 +267,8 @@ def _cmd_sweep_v(args) -> int:
     loaded = _load(args.config, args)
     if not args.v_list:
         raise ConfigError("sweep-v requires --v-list")
-    # sweep_v checks every value before its first run.
-    v_values = [_number(v) for v in args.v_list.split(",") if v.strip()]
-    if not v_values:
-        raise ConfigError("--v-list is empty")
+    # sweep_v checks every value, an empty entry too, before its first run.
+    v_values = [_number(v) for v in args.v_list.split(",")]
 
     rows = sweep_v(
         loaded.config, loaded.plan, loaded.model, v_values, loaded.seeds, loaded.solver

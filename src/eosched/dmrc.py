@@ -22,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import AssignmentProblem, max_weight_assignment
+from .assignment import (
+    AssignmentProblem,
+    _star_forest,
+    _star_matching,
+    max_weight_assignment,
+)
 from .errors import ParameterError, ScheduleValidationError
 from .scenario import ChannelState, NetworkConfig, _finite, _integer
 
@@ -195,8 +200,10 @@ def josap_solve(
     multiplier stays at ``dual_init``, and its weight of 0 is never
     matched. The loop therefore keeps the visible pairs' multipliers,
     arrivals and ratio choices as plain floats, in row-major order.
-    When no two visible pairs share a target or a satellite, the
-    matching needs no matcher call; otherwise each iteration writes the
+    When no visible pair shares both its target and its satellite with
+    others, the visible pairs form stars, and each iteration's matching
+    comes from the matcher's closed form for stars, ``_star_matching``;
+    otherwise, or where that cannot tell, the iteration writes the
     multipliers into the (I, K) matrix for ``observation_matching``.
     """
     params = params or SolverParams()
@@ -216,15 +223,21 @@ def josap_solve(
     pressure = _pair_pressure(Q, P).take(visible).tolist()
     caps = [ratios[0] * b for b in b_vis]
     alpha = [params.dual_init] * len(b_vis)
+    # The matching weights alpha_j * B_j, the products the matcher sees.
+    weights = [a * b for a, b in zip(alpha, b_vis)]
 
-    # The slot's matching structure, worked out once. Where two visible
-    # pairs share a target or a satellite, the matcher runs on the whole
-    # (I, K) matrix, not on the submatrix of the visible rows and
-    # columns: max_weight_assignment's first solve is not invariant under
-    # zero padding on near-ties (see its docstring), so a smaller matrix
-    # can pick a different matching among equal totals.
-    disjoint = len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
-    if not disjoint:
+    # The slot's matching structure, worked out once: the stars of the
+    # visible pairs, none where no two share a target or a satellite (a
+    # cheaper test than the grouping), or None where some pair shares
+    # both. The matcher runs on the whole (I, K) matrix, not on the
+    # submatrix of the visible rows and columns: max_weight_assignment's
+    # first solve is not invariant under zero padding on near-ties (see
+    # its docstring), so a smaller matrix can pick a different matching
+    # among equal totals.
+    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
+        stars = []
+    else:
+        stars = _star_forest(rows, cols, (1,) * B.shape[1])
         alpha_matrix = np.full_like(B, params.dual_init)
 
     best_obj = -math.inf
@@ -236,13 +249,8 @@ def josap_solve(
         free = [
             optimal_arrival(a + p, v, cap) for a, p, cap in zip(alpha, pressure, caps)
         ]
-        if disjoint:
-            # The positive weights alpha_j * B_j already form a matching,
-            # which max_weight_assignment would return at once as the
-            # only optimum. With B_j > 0 a weight is positive exactly
-            # when alpha_j is; the product is the matcher's own test.
-            matched = [a * b > 0.0 for a, b in zip(alpha, b_vis)]
-        else:
+        matched = None if stars is None else _star_matching(weights, stars)
+        if matched is None:
             alpha_matrix.put(visible, alpha)
             matched = observation_matching(alpha_matrix, B).take(visible).tolist()
 
@@ -264,6 +272,7 @@ def josap_solve(
             moved = moved if moved > 0.0 else 0.0
             delta = max(delta, abs(moved - a_j))
             alpha[j] = moved
+            weights[j] = moved * b
         if obj > best_obj:
             best_obj = obj
             best = picks

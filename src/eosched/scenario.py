@@ -207,7 +207,7 @@ def load_contact_plan(path, config: NetworkConfig) -> ContactPlan:
     trans = np.zeros((T, K, N), dtype=bool)
 
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        for line_no, raw in _numbered_lines(fh):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -249,6 +249,26 @@ def load_contact_plan(path, config: NetworkConfig) -> ContactPlan:
                 tensor[c0 : c1 + 1, a, b] = True
 
     return ContactPlan(obs_visible=obs, trans_visible=trans)
+
+
+def _numbered_lines(fh):
+    """The lines of the UTF-8 text file `fh`, numbered from 1. Bytes that
+    are not UTF-8 are a PlanFormatError that names their line."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        # The text reader decodes in chunks, so the error's offset is not
+        # the file's; decoding the whole file finds the line.
+        fh.buffer.seek(0)
+        data = fh.buffer.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise PlanFormatError(
+                f"line {line_no}: not UTF-8 text ({exc.reason})"
+            ) from None
+        raise
 
 
 # Periods stay far enough inside int64 that phases plus slot indices do

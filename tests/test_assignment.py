@@ -373,6 +373,37 @@ NEAR_TIES = [53333.3333333333, 53333.33333333333, 26666.66666666665,
              26666.666666666664, 80000.0, 106666.66666666666, 160000.0]
 
 
+def star_forest(rng, R, C, values):
+    """An R x C matrix whose positive entries form stars on rows and
+    columns of their own: one row with one or more columns, or one column
+    with several rows. Some other entries are negative."""
+    w = np.where(rng.random((R, C)) < 0.1, -1.0, 0.0)
+    rows, cols = rng.permutation(R).tolist(), rng.permutation(C).tolist()
+    while rows and cols:
+        if rng.random() < 0.5:
+            n = min(int(rng.integers(1, 4)), len(cols))
+            w[rows.pop(), [cols.pop() for _ in range(n)]] = 1
+        else:
+            n = min(int(rng.integers(2, 5)), len(rows))
+            w[[rows.pop() for _ in range(n)], cols.pop()] = 1
+    return np.where(w > 0, rng.choice(values, (R, C)), w)
+
+
+def counting_star_rule(monkeypatch):
+    """Record what each call of the star rule returns."""
+    import eosched.assignment as assignment
+
+    results = []
+    real = assignment._star_matching
+
+    def counted(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(assignment, "_star_matching", counted)
+    return results
+
+
 class TestAgainstWholeProblemMatcher:
     @pytest.mark.parametrize("seed", range(40))
     def test_transmission_like(self, seed):
@@ -407,6 +438,49 @@ class TestAgainstWholeProblemMatcher:
         w = np.where(rng.random((R, C)) < 0.5, rng.choice(NEAR_TIES, (R, C)), 0.0)
         mults = tuple(int(m) for m in rng.integers(1, 3, size=C))
         assert solve(w, mults) == whole_problem_matching(w, mults)
+
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_star_forests(self, monkeypatch, seed):
+        # No component has two rows and two columns, so the star rule
+        # answers unless two weights sit within its slack.
+        rng = np.random.default_rng(7500 + seed)
+        R, C = int(rng.integers(4, 16)), int(rng.integers(2, 10))
+        w = star_forest(rng, R, C, NEAR_TIES)
+        mults = tuple(int(m) for m in rng.integers(1, 3, size=C))
+        results = counting_star_rule(monkeypatch)
+        assert solve(w, mults) == whole_problem_matching(w, mults)
+        rows, cols = np.nonzero(w > 0)
+        early = len(set(rows)) == rows.size and all(
+            n <= mults[c] for c, n in zip(*np.unique(cols, return_counts=True))
+        )
+        assert len(results) == (0 if early else 1)
+
+    def test_exact_ties_in_a_star_are_decided_in_closed_form(self, monkeypatch):
+        # Equal weights go to the smaller index, as the row loop's
+        # lexicographic rule has it, so no trial is left that could tie.
+        w = np.zeros((4, 3))
+        w[0, :2] = w[1:, 2] = 2.0
+        results = counting_star_rule(monkeypatch)
+        assert solve(w, (1, 1, 2)) == ([(0, 0), (1, 2), (2, 2)], 6.0)
+        assert len(results) == 1 and results[0] is not None
+
+    @pytest.mark.parametrize(
+        "star", [[(0, 0), (0, 1)], [(0, 0), (1, 0)]], ids=["row", "column"]
+    )
+    def test_star_within_the_slack_takes_the_row_loop(self, monkeypatch, star):
+        # The star's two weights differ in their last bits. Its closed
+        # form takes the larger, the second; the rounded totals of the
+        # whole matching tie, so the lexicographic answer is the first.
+        # The rule leaves it to the row loop.
+        w = np.zeros((3, 3))
+        w[star[0]], w[star[1]] = NEAR_TIES[0], NEAR_TIES[1]
+        w[2, 2] = 160000.0
+        results = counting_star_rule(monkeypatch)
+        got = solve(w, (1, 1, 1))
+        assert results == [None]
+        assert got[0][0] == star[0]
+        assert got == whole_problem_matching(w, (1, 1, 1))
 
 
 class TestCertificate:

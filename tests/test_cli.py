@@ -99,6 +99,54 @@ class TestRunCommand:
         cfg.write_text(json.dumps(data))
         assert main(["run", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("key", ["plan_file", "output_dir"])
+    @pytest.mark.parametrize("value", [5, None, ["plan.txt"]])
+    def test_path_that_is_not_a_string_exits_one(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        data = json.loads(cfg.read_text())
+        if key == "plan_file":
+            del data["plan_synthetic"]
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be a path string")
+        assert repr(value) in err
+
+    def test_plan_file_not_utf8_exits_one(self, tmp_path, capsys):
+        # Past the text reader's first chunk, so the line is found anew.
+        lines = b"obs,0,0,0,5\n" * 2000 + b"trans,0,0,0,\xff11\n"
+        (tmp_path / "plan.txt").write_bytes(lines)
+        cfg = write_config(tmp_path, seeds=[0])
+        data = json.loads(cfg.read_text())
+        del data["plan_synthetic"]
+        data["plan_file"] = "plan.txt"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2001: not UTF-8 text")
+
+    def test_config_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"horizon": "\xff"}')
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON")
+
+    def test_plan_file_naming_a_directory_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        del data["plan_synthetic"]
+        data["plan_file"] = ""
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: contact-plan file not found")
+
+    def test_output_dir_naming_a_file_exits_one(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "taken"))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, typo_key=3)
         assert main(["run", "--config", str(cfg)]) == 1
@@ -257,7 +305,10 @@ class TestSweepCommand:
         assert main(["sweep-v", "--config", str(cfg), "--v-list", "0"]) == 1
         assert main(["sweep-v", "--config", str(cfg), "--v-list=-5,100"]) == 1
 
-    @pytest.mark.parametrize("vlist, shown", [("1000,nan", "nan"), ("1000,x", "'x'")])
+    @pytest.mark.parametrize(
+        "vlist, shown",
+        [("1000,nan", "nan"), ("1000,x", "'x'"), ("1000,,2000", "''"), ("1000,", "''")],
+    )
     def test_bad_v_exits_one_before_any_run(
         self, tmp_path, capsys, monkeypatch, vlist, shown
     ):

@@ -256,11 +256,12 @@ def dense_josap_reference(Q, P, B, cfg, params):
 @st.composite
 def josap_slots(draw):
     """A small slot whose visible pairs are empty, pairwise disjoint (no
-    shared target or satellite) or shared, with random queues, deficits
-    and solver controls."""
-    kind = draw(st.sampled_from(("empty", "disjoint", "shared")))
+    shared target or satellite), stars (pairs that share only a target or
+    only a satellite) or shared, with random queues, deficits and solver
+    controls."""
+    kind = draw(st.sampled_from(("empty", "disjoint", "stars", "shared")))
     I, K = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    if kind == "shared" and I == K == 1:
+    if kind in ("stars", "shared") and I == K == 1:
         K = 2
     capacity = st.sampled_from((600.0, 800.0, 1000.0))
     B = np.zeros((I, K))
@@ -270,6 +271,23 @@ def josap_slots(draw):
         cols = draw(st.permutations(range(K)))[:n]
         for i, k in zip(rows, cols):
             B[i, k] = draw(capacity)
+    elif kind == "stars":
+        # Each star is one target with satellites of its own, or one
+        # satellite with targets of its own; the first has two pairs or
+        # more.
+        rows = list(draw(st.permutations(range(I))))
+        cols = list(draw(st.permutations(range(K))))
+        least = 2
+        while rows and cols and (least == 2 or draw(st.booleans())):
+            if len(cols) >= least and (len(rows) < least or draw(st.booleans())):
+                i, n = rows.pop(), draw(st.integers(least, len(cols)))
+                pairs = [(i, cols.pop()) for _ in range(n)]
+            else:
+                k, n = cols.pop(), draw(st.integers(least, len(rows)))
+                pairs = [(rows.pop(), k) for _ in range(n)]
+            for pair in pairs:
+                B[pair] = draw(capacity)
+            least = 1
     elif kind == "shared":
         i, k = draw(st.integers(0, I - 1)), draw(st.integers(0, K - 1))
         # A second pair on the same target, or on the same satellite.
@@ -295,6 +313,11 @@ def josap_slots(draw):
 def shares_a_target_or_satellite(B):
     rows, cols = np.nonzero(B > 0)
     return len(set(rows)) < rows.size or len(set(cols)) < cols.size
+
+
+def shares_a_target_and_satellite(B):
+    rows, cols = np.nonzero(B > 0)
+    return bool(((np.bincount(rows)[rows] > 1) & (np.bincount(cols)[cols] > 1)).any())
 
 
 class TestJosapSolve:
@@ -356,7 +379,9 @@ class TestJosapSolve:
     @given(josap_slots())
     def test_matches_full_matrix_reference_on_any_slot_structure(self, slot):
         kind, Q, P, B, params = slot
-        assert shares_a_target_or_satellite(B) == (kind == "shared")
+        assert shares_a_target_or_satellite(B) == (kind in ("stars", "shared"))
+        if kind == "stars":
+            assert not shares_a_target_and_satellite(B)
         cfg = make_config(num_targets=B.shape[0], num_eos=B.shape[1])
         res = josap_solve(Q, P, B, cfg, params)
         x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
@@ -373,19 +398,53 @@ class TestJosapSolve:
         def no_matcher(problem):
             raise AssertionError("max_weight_assignment called")
 
-        monkeypatch.setattr(dmrc, "max_weight_assignment", no_matcher)
         cfg = make_config(num_targets=3, num_eos=4)
-        Q, P = np.zeros((4, 3)), np.zeros(3)
+        Q, P, params = np.zeros((4, 3)), np.zeros(3), SolverParams(dual_init=1.0)
         disjoint = np.array(
             [[600.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1000.0, 0.0]]
         )
-        res = josap_solve(Q, P, disjoint, cfg, SolverParams(dual_init=1.0))
+        # Target 0 seen by satellites 0 and 1, and satellite 2 seeing
+        # targets 1 and 2: stars, whose matchings have a closed form.
+        stars = disjoint.copy()
+        stars[0, 1] = stars[1, 2] = 800.0
+        x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
+            Q, P, stars, cfg, params
+        )
+        monkeypatch.setattr(dmrc, "max_weight_assignment", no_matcher)
+        res = josap_solve(Q, P, disjoint, cfg, params)
         assert res.observe.tolist() == (disjoint > 0).astype(int).tolist()
         josap_solve(Q, P, np.zeros((3, 4)), cfg)
+        res = josap_solve(Q, P, stars, cfg, params)
+        for got, want in ((res.observe, x), (res.rho, rho), (res.duals, duals)):
+            assert got.tobytes() == want.tobytes()
+        assert (res.objective, res.iterations) == (obj, iters)
+        # Pair (0, 2) shares its target with (0, 0) and its satellite
+        # with (2, 2): that needs the matcher.
         shared = disjoint.copy()
         shared[0, 2] = 800.0
         with pytest.raises(AssertionError, match="max_weight_assignment called"):
-            josap_solve(Q, P, shared, cfg, SolverParams(dual_init=1.0))
+            josap_solve(Q, P, shared, cfg, params)
+
+    def test_star_within_the_matchers_slack_calls_the_matcher(self, monkeypatch):
+        # Target 0 sees satellites 0 and 1 with capacities 1e-10 apart,
+        # so under equal multipliers the star rule cannot tell and the
+        # iteration matches the whole matrix, as the reference does.
+        cfg = make_config(num_targets=2, num_eos=3)
+        Q, P, params = np.zeros((3, 2)), np.zeros(2), SolverParams(dual_init=1.0)
+        B = np.array([[600.0, 600.0000000001, 0.0], [0.0, 0.0, 800.0]])
+        x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
+            Q, P, B, cfg, params
+        )
+        calls = []
+        real = dmrc.observation_matching
+        monkeypatch.setattr(
+            dmrc, "observation_matching", lambda *a: calls.append(1) or real(*a)
+        )
+        res = josap_solve(Q, P, B, cfg, params)
+        assert 0 < len(calls) < iters
+        for got, want in ((res.observe, x), (res.rho, rho), (res.duals, duals)):
+            assert got.tobytes() == want.tobytes()
+        assert (res.objective, res.iterations) == (obj, iters)
 
     def test_pairs_without_capacity_keep_dual_init_and_are_never_observed(self):
         cfg = make_config(num_targets=4, num_eos=5)
