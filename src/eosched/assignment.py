@@ -7,13 +7,25 @@ nonpositive weight are never matched, since leaving them out is at least
 as good. Among equal-weight optima the solver returns the
 lexicographically smallest matching by (row, col), which keeps every
 caller deterministic.
+
+`max_weight_assignment` answers by one of three paths: a closed form
+where every component of the positive entries is a star
+(`_star_matching`), a certificate that proves one solve of the whole
+problem is the answer (`_certify`), and otherwise a row loop that
+commits rows in index order (`_Component`). Both the certificate and
+the row loop skip trials by dual prices, each with its own routine:
+`_dual_prices` prices a whole matrix in a few dozen numpy calls, which
+pays only on large problems, while `_Component.price` runs the same
+recurrence over one component's edge maps in Python. Most components
+that the row loop prices are small, where Python costs less; a numpy
+branch for the few large ones did not pay for its lines on the matcher
+calls of the benchmark workloads.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,23 +130,13 @@ class _Component:
     def price(
         self, i: int, kept: int | None, incumbent: dict[int, int], caps: list[int]
     ) -> None:
-        """Price the subproblem on rows[i:] under capacities `caps`,
+        """Dual prices for this component's columns and for rows[i:],
         where row i holds `kept` and later rows follow `incumbent`, by
-        the recurrence of `_dual_prices`. Below _VECTORIZE_FROM edges the
-        recurrence runs over the edge maps in Python: there it costs
-        less than numpy's calls."""
+        the recurrence of `_dual_prices` run over the edge maps; `gap` is
+        the dual objective of that subproblem under capacities `caps`
+        minus the weight held."""
         rows, edges = self.rows[i:], self.edges
         held = [kept] + [incumbent.get(r) for r in rows[1:]]
-        # The block's size bounds its edge count, and costs nothing.
-        if len(rows) * len(self.cols) >= _VECTORIZE_FROM and (
-            sum(map(len, map(edges.__getitem__, rows))) >= _VECTORIZE_FROM
-        ):
-            index = {c: j for j, c in enumerate(self.cols)}
-            local = np.array([len(index) if c is None else index[c] for c in held])
-            v, u = _dual_prices(self.clamped[i:], local)
-            v, u = dict(zip(self.cols, v.tolist())), dict(zip(rows, u.tolist()))
-            self.adopt(i, held, caps, v, u)
-            return
         v = dict.fromkeys(self.cols, 0.0)
         for r, c in zip(rows, held):
             if c is None:
@@ -152,27 +154,9 @@ class _Component:
             if not raised:
                 break
         u = {r: max(0.0, max(w - v[c] for c, w in edges[r].items())) for r in rows}
-        self.adopt(i, held, caps, v, u)
-
-    def adopt(
-        self,
-        i: int,
-        held: list[int | None],
-        caps: list[int],
-        col_prices: dict[int, float],
-        row_prices: dict[int, float],
-    ) -> None:
-        """Take dual prices for this component's columns and for
-        rows[i:], which hold `held`; `gap` is the dual objective of that
-        subproblem under capacities `caps` minus the weight held."""
-        edges = self.edges
-        own = sum(edges[r][c] for r, c in zip(self.rows[i:], held) if c is not None)
-        self.col_prices, self.row_prices = col_prices, row_prices
-        self.gap = (
-            sum(row_prices.values())
-            + sum(caps[c] * col_prices[c] for c in self.cols)
-            - own
-        )
+        own = sum(row[c] for row, c in matched)
+        self.col_prices, self.row_prices = v, u
+        self.gap = sum(u.values()) + sum(caps[c] * v[c] for c in self.cols) - own
 
     def viable(
         self, r: int, row: dict[int, float], options: list[int], slack: float
@@ -217,18 +201,13 @@ class _Component:
                 return [], {}
             c = max(options, key=lambda c: (row[c], -c))
             return [row[c]], {rows[0]: c}
-        # Columns replicated per remaining capacity: a plain rectangular
-        # solve then yields the optional-matching optimum.
-        rep = np.repeat(np.arange(len(self.cols)), [caps[c] for c in self.cols])
-        sub = self.clamped[start:, rep]
-        if not sub.size:
+        local = [caps[c] for c in self.cols]
+        if not any(local):
             return [], {}
-        rr, cc = linear_sum_assignment(sub, maximize=True)
-        picked = sub[rr, cc]
-        keep = picked > 0.0
-        matched_rows = [self.rows[start + a] for a in rr[keep].tolist()]
-        matched_cols = [self.cols[b] for b in rep[cc[keep]].tolist()]
-        return picked[keep].tolist(), dict(zip(matched_rows, matched_cols))
+        rr, cc, picked = _solve(self.clamped[start:], local)
+        matched_rows = [self.rows[start + a] for a in rr.tolist()]
+        matched_cols = [self.cols[b] for b in cc.tolist()]
+        return picked.tolist(), dict(zip(matched_rows, matched_cols))
 
 
 def _components(
@@ -260,18 +239,19 @@ def _components(
     return components
 
 
-def _first_solve(
-    weights: np.ndarray, caps: list[int]
+def _solve(
+    clamped: np.ndarray, caps: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The clamped weights and an optimal matching of the whole problem,
-    as ascending rows and their columns: one solve on the clamped matrix
-    with each column repeated per its capacity."""
-    clamped = np.maximum(weights, 0.0)
-    col_ids = np.repeat(np.arange(weights.shape[1]), caps)
+    """An optimal matching of the clamped weights with column c taking up
+    to caps[c] rows, as ascending rows, their columns and their weights.
+    Columns are repeated per their capacity: a plain rectangular solve
+    then yields the optional-matching optimum."""
+    col_ids = np.repeat(np.arange(clamped.shape[1]), caps)
     full = clamped[:, col_ids]
     rr, cc = linear_sum_assignment(full, maximize=True)
-    keep = full[rr, cc] > 0.0
-    return clamped, rr[keep], col_ids[cc[keep]]
+    picked = full[rr, cc]
+    keep = picked > 0.0
+    return rr[keep], col_ids[cc[keep]], picked[keep]
 
 
 def _certify(
@@ -280,10 +260,10 @@ def _certify(
     cols: np.ndarray,
     caps: list[int],
     slack: float,
-) -> tuple[bool, np.ndarray, np.ndarray]:
+) -> bool:
     """Whether the optimal matching of `rows` to `cols` is proved the
     lexicographically smallest optimum by its dual prices (see
-    `_dual_prices`), and those prices (v, u).
+    `_dual_prices`).
 
     It is when no option of the row loop passes `_Component.viable`'s
     test: a positive entry of row r in a column smaller than its own
@@ -312,7 +292,7 @@ def _certify(
         & (order < held[:, None])
         & (np.cumsum(held[:, None] == order, axis=0) < caps)
     )
-    return not (options & (clamped - v >= floor[:, None])).any(), v, u
+    return not (options & (clamped - v >= floor[:, None])).any()
 
 
 def _star_forest(
@@ -387,37 +367,33 @@ def _star_matching(
 
 def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     """Globally optimal partial matching, lexicographically smallest
-    among ties.
+    among ties, by one of three paths.
 
-    When no row has two positive entries and no column more than its
-    multiplicity, those entries are the matching and are returned at
-    once.
+    Only positive weights can be matched, so the problem splits into the
+    connected components of its positive-weight bipartite graph.
 
-    Otherwise only positive weights can be matched, so the problem
-    splits into the connected components of its positive-weight
-    bipartite graph. When none has 2 rows and 2 columns, every component
-    is a star around one row or one column, and `_star_matching` gives
-    the answer in closed form unless a trial could tie. When some
-    component has at least 2 rows and 2 columns, a first solve on the
-    whole clamped, column-replicated matrix fixes the optimal total and
-    an incumbent matching. With at least _VECTORIZE_FROM positive
-    entries, one set of dual prices for that incumbent (`_certify`) is
-    then tested against every pair the row loop below would try; if
-    none can reach the optimal total, the incumbent is the
-    lexicographically smallest optimum and is returned at once. Below
-    that size numpy's fixed cost per call exceeds what the test can
-    save.
-
-    Else rows are committed in index order: a row keeps the smallest
-    column that still completes to the optimal total, verified by
-    re-solving the remaining rows of its own component only; the
-    incumbent's column is committed without a solve when no smaller one
-    works. Components of a single row or a single column need no solve
-    (`_Component.completion`). Trials that LP duality rules out are
-    skipped (`_Component.viable`): the loop starts from the prices of
-    `_certify` where they were computed, prices a component when it
-    first needs them otherwise, and prices it again after a trial has
-    replaced its incumbent.
+    1. Stars. When no component has 2 rows and 2 columns, every
+       component is a star around one row or one column, and
+       `_star_matching` gives the answer in closed form unless a trial
+       could tie. With no star at all the positive entries already form
+       a matching, the only optimum.
+    2. Certificate. Otherwise a first solve on the whole clamped,
+       column-replicated matrix fixes the optimal total and an incumbent
+       matching. With at least _VECTORIZE_FROM positive entries, one set
+       of dual prices for that incumbent (`_certify`) is tested against
+       every pair the row loop below would try; if none can reach the
+       optimal total, the incumbent is the lexicographically smallest
+       optimum and is returned at once. Below that size numpy's fixed
+       cost per call exceeds what the test can save.
+    3. Row loop. Else rows are committed in index order: a row keeps the
+       smallest column that still completes to the optimal total,
+       verified by re-solving the remaining rows of its own component
+       only; the incumbent's column is committed without a solve when
+       no smaller one works. Components of a single row or a single
+       column need no solve (`_Component.completion`). Trials that LP
+       duality rules out are skipped (`_Component.viable`): the loop
+       prices a component when it first needs the prices, and again
+       after a trial has replaced its incumbent.
 
     Totals are compared as correctly-rounded sums (math.fsum) over the
     whole matching, so the equality test is exact for any weight
@@ -433,16 +409,7 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     """
     weights = p.weights
     er, ec = np.nonzero(weights > 0.0)
-    if not er.size:
-        return [], 0.0
     rows, cols, values = er.tolist(), ec.tolist(), weights[er, ec].tolist()
-    if len(set(rows)) == len(rows) and (
-        len(set(cols)) == len(cols)
-        or all(n <= p.col_multiplicity[c] for c, n in Counter(cols).items())
-    ):
-        # The positive entries already form a matching: it is the only
-        # optimum, since leaving any of them out loses weight.
-        return list(zip(rows, cols)), math.fsum(values)
     caps = list(p.col_multiplicity)
     first = None
     # _certify costs a few dozen numpy calls whatever the size; what it
@@ -450,19 +417,14 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     # costs about a microsecond per positive entry. A component has 2
     # rows and 2 columns when some positive entry shares its row and its
     # column with others.
-    priced = len(rows) >= _VECTORIZE_FROM and bool(
-        (
-            (np.bincount(er, minlength=weights.shape[0])[er] > 1)
-            & (np.bincount(ec, minlength=weights.shape[1])[ec] > 1)
-        ).any()
-    )
-    if priced:
-        clamped, inc_rows, inc_cols = first = _first_solve(weights, caps)
-        total = math.fsum(clamped[inc_rows, inc_cols].tolist())
-        certified, col_prices, row_prices = _certify(
-            clamped, inc_rows, inc_cols, caps, 1e-9 * total
-        )
-        if certified:
+    if len(rows) >= _VECTORIZE_FROM and (
+        (np.bincount(er, minlength=weights.shape[0])[er] > 1)
+        & (np.bincount(ec, minlength=weights.shape[1])[ec] > 1)
+    ).any():
+        clamped = np.maximum(weights, 0.0)
+        inc_rows, inc_cols, picked = first = _solve(clamped, caps)
+        total = math.fsum(picked.tolist())
+        if _certify(clamped, inc_rows, inc_cols, caps, 1e-9 * total):
             return list(zip(inc_rows.tolist(), inc_cols.tolist())), total
 
     edges: dict[int, dict[int, float]] = {}
@@ -475,25 +437,14 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
             matching = [(r, c) for r, c, m in zip(rows, cols, matched) if m]
             return matching, math.fsum(w for w, m in zip(values, matched) if m)
     elif first is None:
-        first = _first_solve(weights, caps)
+        first = _solve(np.maximum(weights, 0.0), caps)
     position = {r: (comp, i) for comp in components for i, r in enumerate(comp.rows)}
     if first is None:
         incumbent = {}
         for comp in components:
             incumbent.update(comp.completion(0, caps)[1])
     else:
-        incumbent = dict(zip(first[1].tolist(), first[2].tolist()))
-    if priced:
-        v, u = col_prices.tolist(), row_prices.tolist()
-        for comp in components:
-            if comp.solves:
-                comp.adopt(
-                    0,
-                    [incumbent.get(r) for r in comp.rows],
-                    caps,
-                    {c: v[c] for c in comp.cols},
-                    {r: u[r] for r in comp.rows},
-                )
+        incumbent = dict(zip(first[0].tolist(), first[1].tolist()))
     best_total = math.fsum(edges[r][c] for r, c in incumbent.items())
     # Margin of the dual skip test: far above the rounding error of the
     # solver and of the prices, far below any weight gap it must catch.

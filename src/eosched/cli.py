@@ -6,8 +6,8 @@ parameters, seeds, and an output directory. Flags override file values.
 Outputs are CSV files written atomically (temp file then rename), so a
 failed run never leaves a partial file behind.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime or validation
-failure.
+Exit codes: 0 success, 1 configuration error or a file that cannot be
+read or written, 2 runtime or validation failure.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, PlanFormatError, FileNotFoundError) as exc:
+    except (ConfigError, ParameterError, PlanFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EoschedError as exc:

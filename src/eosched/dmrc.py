@@ -204,7 +204,9 @@ def josap_solve(
     others, the visible pairs form stars, and each iteration's matching
     comes from the matcher's closed form for stars, ``_star_matching``;
     otherwise, or where that cannot tell, the iteration writes the
-    multipliers into the (I, K) matrix for ``observation_matching``.
+    multipliers into the (I, K) matrix for ``observation_matching``. A
+    ``dual_init`` whose product with some capacity overflows is rejected
+    before the first iteration.
     """
     params = params or SolverParams()
     v = config.control_factor
@@ -222,23 +224,24 @@ def josap_solve(
     b_vis = B.take(visible).tolist()
     pressure = _pair_pressure(Q, P).take(visible).tolist()
     caps = [ratios[0] * b for b in b_vis]
+    # Products round monotonically, so the largest capacity gives the
+    # largest initial weight.
+    if params.dual_init * max(b_vis, default=0.0) == math.inf:
+        raise ParameterError("dual_init times a capacity must be finite")
     alpha = [params.dual_init] * len(b_vis)
     # The matching weights alpha_j * B_j, the products the matcher sees.
     weights = [a * b for a, b in zip(alpha, b_vis)]
 
     # The slot's matching structure, worked out once: the stars of the
-    # visible pairs, none where no two share a target or a satellite (a
-    # cheaper test than the grouping), or None where some pair shares
-    # both. The matcher runs on the whole (I, K) matrix, not on the
-    # submatrix of the visible rows and columns: max_weight_assignment's
-    # first solve is not invariant under zero padding on near-ties (see
-    # its docstring), so a smaller matrix can pick a different matching
-    # among equal totals.
-    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
-        stars = []
-    else:
-        stars = _star_forest(rows, cols, (1,) * B.shape[1])
-        alpha_matrix = np.full_like(B, params.dual_init)
+    # visible pairs, or None where some pair shares both its target and
+    # its satellite. The matcher runs on the whole (I, K) matrix, not on
+    # the submatrix of the visible rows and columns:
+    # max_weight_assignment's first solve is not invariant under zero
+    # padding on near-ties (see its docstring), so a smaller matrix can
+    # pick a different matching among equal totals.
+    stars = _star_forest(rows, cols, (1,) * B.shape[1])
+    # The (I, K) multipliers, written for the matcher and then returned.
+    alpha_matrix = np.full_like(B, params.dual_init)
 
     best_obj = -math.inf
     best = None
@@ -280,14 +283,13 @@ def josap_solve(
             converged = True
             break
 
-    duals = np.full_like(B, params.dual_init)
-    duals.put(visible, alpha)
+    alpha_matrix.put(visible, alpha)
     return JosapResult(
         *_observation(B, best),
         objective=best_obj,
         iterations=iterations,
         converged=converged,
-        duals=duals,
+        duals=alpha_matrix,
     )
 
 

@@ -172,22 +172,22 @@ def check_flow_conservation(
     )
 
 
-def write_edge_dump(g: Eteg, fh, include_zero: bool = False) -> None:
+def write_edge_dump(g: Eteg, fh) -> None:
     """Write the ledger as text, one `type,t,endpoints,capacity,flow,volume`
-    line per edge-flow pair. Zero-volume entries are skipped unless
-    ``include_zero`` is set; store edges have unbounded capacity."""
+    line per edge-flow pair of nonzero volume; store edges have unbounded
+    capacity."""
     T = g.horizon
     for t in range(T):
         for i, k in np.argwhere(g.obs_visible[t]):
             vol = g.joc_volume[t, i, k]
-            if vol or include_zero:
+            if vol:
                 fh.write(
                     f"joc,{t},{i}-{k},{g.obs_capacity[t, i, k]:.12g},{i},{vol:.12g}\n"
                 )
         for k, n in np.argwhere(g.trans_visible[t]):
             for i in range(g.fwd_volume.shape[3]):
                 vol = g.fwd_volume[t, k, n, i]
-                if vol or include_zero:
+                if vol:
                     fh.write(
                         f"fwd,{t},{k}-{n},{g.trans_capacity[t, k, n]:.12g},{i},{vol:.12g}\n"
                     )
@@ -195,5 +195,5 @@ def write_edge_dump(g: Eteg, fh, include_zero: bool = False) -> None:
         for k in range(g.store_volume.shape[1]):
             for i in range(g.store_volume.shape[2]):
                 vol = g.store_volume[s, k, i]
-                if vol or include_zero:
+                if vol:
                     fh.write(f"store,{s},{k},inf,{i},{vol:.12g}\n")

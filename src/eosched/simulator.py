@@ -246,9 +246,8 @@ def sweep_v(
     v_values,
     seeds,
     params: dmrc.SolverParams | None = None,
-    policy: str = "dmrc",
 ) -> list[SweepRow]:
-    """Run the policy at each control-factor value, averaging utility and
+    """Run DMRC at each control-factor value, averaging utility and
     backlog over the given seeds. Runs at different values share seeds,
     hence channels, so the slope in v is not buried in channel noise."""
     seeds = list(seeds)
@@ -262,7 +261,7 @@ def sweep_v(
     rows = []
     for v in v_values:
         s = _seed_average(
-            replace(config, control_factor=v), plan, model, policy, seeds, params
+            replace(config, control_factor=v), plan, model, "dmrc", seeds, params
         )
         rows.append(SweepRow(v=v, avg_utility=s.avg_utility, avg_backlog=s.avg_backlog))
     return rows

@@ -450,11 +450,7 @@ class TestAgainstWholeProblemMatcher:
         mults = tuple(int(m) for m in rng.integers(1, 3, size=C))
         results = counting_star_rule(monkeypatch)
         assert solve(w, mults) == whole_problem_matching(w, mults)
-        rows, cols = np.nonzero(w > 0)
-        early = len(set(rows)) == rows.size and all(
-            n <= mults[c] for c, n in zip(*np.unique(cols, return_counts=True))
-        )
-        assert len(results) == (0 if early else 1)
+        assert len(results) == 1
 
     def test_exact_ties_in_a_star_are_decided_in_closed_form(self, monkeypatch):
         # Equal weights go to the smaller index, as the row loop's
@@ -532,6 +528,37 @@ class TestCertificate:
         assert got[0][0] == (0, 0)
         assert got == whole_problem_matching(w, mults)
 
+    def test_stars_beside_a_block_priced_by_the_row_loop(self, monkeypatch):
+        # A 2x2 block whose two matchings tie up to the last bits, next
+        # to four column stars of 25 rows and one row star: 107 positive
+        # entries. The certificate cannot rule out the block's near-tie,
+        # so the row loop prices the block from scratch, in Python.
+        import eosched.assignment as assignment
+
+        rng = np.random.default_rng(9200)
+        w = np.zeros((103, 9))
+        w[:2, :2] = [[NEAR_TIES[0], NEAR_TIES[1]], [NEAR_TIES[1], NEAR_TIES[0]]]
+        w[np.arange(2, 102), 2 + np.arange(100) % 4] = rng.choice(NEAR_TIES, 100)
+        w[102, 6:] = rng.choice(NEAR_TIES, 3)
+        mults = (1, 1, 3, 3, 3, 3, 1, 1, 1)
+        certified, priced = [], []
+        real_certify, real_price = assignment._certify, assignment._Component.price
+
+        def certify(*args):
+            certified.append(real_certify(*args))
+            return certified[-1]
+
+        def price(comp, *args):
+            priced.append((comp.rows, comp.cols))
+            return real_price(comp, *args)
+
+        monkeypatch.setattr(assignment, "_certify", certify)
+        monkeypatch.setattr(assignment._Component, "price", price)
+        got = solve(w, mults)
+        assert certified == [False]
+        assert priced and all(pair == ([0, 1], [0, 1]) for pair in priced)
+        assert got == whole_problem_matching(w, mults)
+
 
 def test_trials_on_pairs_off_the_dual_optimum_need_no_solve(monkeypatch):
     # The optimum is unique and every other pair has a positive reduced
@@ -598,13 +625,11 @@ def small_instances(draw):
 class TestEarlyReturn:
     @settings(max_examples=300, deadline=None)
     @given(positive_entries_form_a_matching())
-    def test_agrees_with_oracle_without_components_or_solves(self, instance):
+    def test_agrees_with_oracle_without_a_solve(self, instance):
         w, mults = instance
         import eosched.assignment as assignment
 
         with mock.patch.object(
-            assignment, "_components", side_effect=AssertionError("components built")
-        ), mock.patch.object(
             assignment, "linear_sum_assignment", side_effect=AssertionError("solved")
         ):
             m, total = solve(w, mults)

@@ -147,6 +147,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create output directory")
 
+    def test_config_naming_a_directory_exits_one(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_per_slot_csv_naming_a_directory_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seeds=[0])
+        (tmp_path / "out" / "run_dmrc_seed0.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["run_dmrc_seed0.csv"]
+
+    def test_overflowing_dual_init_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solver={"dual_init": 1e306})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: dual_init")
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, typo_key=3)
         assert main(["run", "--config", str(cfg)]) == 1

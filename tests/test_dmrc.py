@@ -504,6 +504,24 @@ class TestJosapSolve:
         with pytest.raises(ParameterError, match="finite"):
             josap_solve(np.zeros((2, 1)), np.zeros(1), B, cfg)
 
+    @pytest.mark.parametrize(
+        "B",
+        [
+            [[600.0, 0.0, 0.0], [0.0, 800.0, 0.0]],
+            [[600.0, 800.0, 0.0], [0.0, 0.0, 1000.0]],
+            [[600.0, 800.0, 0.0], [1000.0, 600.0, 0.0]],
+        ],
+        ids=["disjoint", "star", "shared"],
+    )
+    def test_overflowing_initial_weights_rejected(self, B):
+        # dual_init * B overflows to inf: every slot kind rejects it
+        # before the first iteration, with no numpy overflow warning.
+        cfg = make_config(num_targets=2, num_eos=3)
+        params = SolverParams(dual_init=1e306)
+        with np.errstate(all="raise"):
+            with pytest.raises(ParameterError, match="dual_init"):
+                josap_solve(np.zeros((3, 2)), np.zeros(2), np.array(B), cfg, params)
+
     @pytest.mark.parametrize("field", ["epsilon", "step_scale", "dual_init"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_solver_params_must_be_finite(self, field, value):
