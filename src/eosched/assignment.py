@@ -12,20 +12,20 @@ caller deterministic.
 where every component of the positive entries is a star
 (`_star_matching`), a certificate that proves one solve of the whole
 problem is the answer (`_certify`), and otherwise a row loop that
-commits rows in index order (`_Component`). Both the certificate and
-the row loop skip trials by dual prices, each with its own routine:
-`_dual_prices` prices a whole matrix in a few dozen numpy calls, which
-pays only on large problems, while `_Component.price` runs the same
-recurrence over one component's edge maps in Python. Most components
-that the row loop prices are small, where Python costs less; a numpy
-branch for the few large ones did not pay for its lines on the matcher
-calls of the benchmark workloads.
+commits rows in index order (`_Component`). Both rest on dual prices
+from one recurrence, run in numpy (`_dual_prices`) from _VECTORIZE_FROM
+positive entries up and in Python (`_python_prices`) on smaller problems
+and the row loop's components. Numpy's few dozen calls cost less than
+Python loops only on large problems, such as a constellation's
+transmission matchings, where they also rule out most trials before any
+graph is built in Python.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +70,12 @@ class AssignmentProblem:
         object.__setattr__(self, "col_multiplicity", mult)
 
 
-def _dual_prices(w: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dual_prices(
+    w: np.ndarray, held: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Column and row prices (v, u) for the clamped weights `w` and a
-    matching `held`: each row's column, or w.shape[1] where unmatched.
+    matching `held`: each row's column, or w.shape[1] where unmatched;
+    None when they have not settled after one pass per column.
 
     Any column prices v >= 0, with row prices u_r = max(0, max_c w[r, c]
     - v_c), are feasible for the dual of the matching LP, so by weak
@@ -97,9 +100,43 @@ def _dual_prices(w: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarra
             v, ((v[cols] - own)[:, None] + moves).max(axis=0, initial=0.0)
         )
         if (raised == v).all():
-            break
+            return v, (w - v).max(axis=1, initial=0.0)
         v = raised
-    return v, (w - v).max(axis=1, initial=0.0)
+    return None
+
+
+def _python_prices(
+    entries: list[tuple[int, int, float]], held: dict, caps: list[int]
+) -> tuple[list[float], dict[int, float], float, bool]:
+    """`_dual_prices` in Python, over `entries`, positive (row, column,
+    weight) triples, where row r holds column held.get(r): column prices
+    by index, row prices by row, the dual objective under capacities
+    `caps` minus the weight held, and whether the prices settled."""
+    v = [0.0] * len(caps)
+    u, own = {}, {}
+    for r, c, w in entries:
+        u[r] = 0.0
+        h = held.get(r)
+        if h is None:
+            if w > v[c]:
+                v[c] = w
+        elif h == c:
+            own[r] = w
+    moves = [(held[r], c, w - own[r]) for r, c, w in entries if c != held.get(r, c)]
+    raised = False
+    for _ in caps:
+        raised = False
+        for h, c, d in moves:
+            if v[h] + d > v[c]:
+                v[c] = v[h] + d
+                raised = True
+        if not raised:
+            break
+    for r, c, w in entries:
+        if w - v[c] > u[r]:
+            u[r] = w - v[c]
+    gap = sum(u.values()) + sum(map(operator.mul, caps, v)) - sum(own.values())
+    return v, u, gap, not raised
 
 
 class _Component:
@@ -121,7 +158,7 @@ class _Component:
     ):
         self.rows, self.cols, self.edges, self.weights = rows, cols, edges, weights
         self.solves = len(rows) > 1 and len(cols) > 1
-        self.col_prices: dict[int, float] | None = None
+        self.col_prices: list[float] | None = None
 
     @functools.cached_property
     def clamped(self) -> np.ndarray:
@@ -130,33 +167,14 @@ class _Component:
     def price(
         self, i: int, kept: int | None, incumbent: dict[int, int], caps: list[int]
     ) -> None:
-        """Dual prices for this component's columns and for rows[i:],
-        where row i holds `kept` and later rows follow `incumbent`, by
-        the recurrence of `_dual_prices` run over the edge maps; `gap` is
-        the dual objective of that subproblem under capacities `caps`
-        minus the weight held."""
-        rows, edges = self.rows[i:], self.edges
-        held = [kept] + [incumbent.get(r) for r in rows[1:]]
-        v = dict.fromkeys(self.cols, 0.0)
-        for r, c in zip(rows, held):
-            if c is None:
-                for c2, w in edges[r].items():
-                    v[c2] = max(v[c2], w)
-        matched = [(edges[r], c) for r, c in zip(rows, held) if c is not None]
-        for _ in range(len(self.cols)):
-            raised = False
-            for row, c in matched:
-                base = v[c] - row[c]
-                for c2, w in row.items():
-                    if base + w > v[c2]:
-                        v[c2] = base + w
-                        raised = True
-            if not raised:
-                break
-        u = {r: max(0.0, max(w - v[c] for c, w in edges[r].items())) for r in rows}
-        own = sum(row[c] for row, c in matched)
-        self.col_prices, self.row_prices = v, u
-        self.gap = sum(u.values()) + sum(caps[c] * v[c] for c in self.cols) - own
+        """Dual prices (`_python_prices`) for rows[i:], where row i holds
+        `kept` and later rows follow `incumbent`; `gap` is the dual
+        objective of that subproblem under capacities `caps` minus the
+        weight held."""
+        entries = [(r, c, w) for r in self.rows[i:] for c, w in self.edges[r].items()]
+        held = incumbent if kept is None else {**incumbent, self.rows[i]: kept}
+        prices = _python_prices(entries, held, caps)
+        self.col_prices, self.row_prices, self.gap, _ = prices
 
     def viable(
         self, r: int, row: dict[int, float], options: list[int], slack: float
@@ -256,43 +274,73 @@ def _solve(
 
 def _certify(
     clamped: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    positive: tuple[list[int], list[int], list[float]],
+    matched: tuple[list[int], list[int]],
     caps: list[int],
-    slack: float,
+    total: float,
 ) -> bool:
-    """Whether the optimal matching of `rows` to `cols` is proved the
-    lexicographically smallest optimum by its dual prices (see
-    `_dual_prices`).
+    """Whether no matching within slack of `total`, or heavier, is
+    lexicographically smaller than the incumbent, rows matched[0] to
+    columns matched[1] of weight `total`: for an optimal incumbent, that
+    it is the row loop's answer. `positive` holds the positive entries'
+    rows, columns and weights in row-major order.
 
-    It is when no option of the row loop passes `_Component.viable`'s
-    test: a positive entry of row r in a column smaller than its own
-    (any column if r is unmatched) with capacity left after the earlier
-    rows keep theirs. A matching that first leaves the incumbent there
-    weighs at most the optimal total plus the gap left at row r minus
-    the entry's reduced cost, and so falls short of it by more than
-    `slack`.
+    Take feasible prices (v, u) for the incumbent, their gap g = sum(u)
+    + sum(caps v) - total, and delta = g + 2 slack, one slack a margin
+    for rounding. Such a matching uses only entries of reduced cost
+    u_r + v_c - w[r, c] <= delta and leaves a row unmatched only if
+    u_r <= delta. From its first row r that differs, taking column c (a
+    smaller one, or any if r is unmatched), it holds an alternating path
+    that leaves each full column by a later row's near-tight entry and
+    ends at a column with room, at r's own column or at a later row with
+    u <= delta. Without any such path the certificate holds; prices that
+    have not settled fail it.
     """
-    R, C = clamped.shape
-    held = np.full(R, C)
-    held[rows] = cols
-    v, u = _dual_prices(clamped, held)
-    # The gap left at row r once the rows before it keep their column,
-    # as _Component.commit carries it: what rows r.. add to the dual
-    # beyond their own weight, spent_r = u_r - (w[r, held_r] - v_held_r),
-    # plus the price of idle capacity.
-    tight = np.zeros(R)
-    tight[rows] = clamped[rows, cols] - v[cols]
-    spent = u - tight
-    idle = np.dot(caps, v) - v[cols].sum()
-    floor = tight - (spent.sum() - np.cumsum(spent)) - (idle + slack)
-    order = np.arange(C)
-    options = (
-        (clamped > 0.0)
-        & (order < held[:, None])
-        & (np.cumsum(held[:, None] == order, axis=0) < caps)
-    )
-    return not (options & (clamped - v >= floor[:, None])).any()
+    slack = 1e-9 * total
+    held = dict(zip(*matched))
+    if len(positive[0]) >= _VECTORIZE_FROM:
+        held_cols = np.full(clamped.shape[0], clamped.shape[1])
+        held_cols[matched[0]] = matched[1]
+        prices = _dual_prices(clamped, held_cols)
+        if prices is None:
+            return False
+        v, u = prices
+        delta = u.sum() + np.dot(caps, v) - total + 2 * slack
+        tight = (clamped > 0.0) & (u[:, None] + v - clamped <= delta)
+        # Done if no smaller column has room once the earlier rows keep theirs.
+        order = np.arange(clamped.shape[1])
+        room = np.cumsum(held_cols[:, None] == order, axis=0) < caps
+        if not (tight & (order < held_cols[:, None]) & room).any():
+            return True
+        near = list(zip(*(index.tolist() for index in np.nonzero(tight))))
+        u = u.tolist()
+    else:
+        entries = list(zip(*positive))
+        v, u, gap, settled = _python_prices(entries, held, caps)
+        if not settled:
+            return False
+        delta = gap + 2 * slack
+        near = [(r, c) for r, c, w in entries if u[r] + v[c] - w <= delta]
+    starts = [(r, c) for r, c in near if c < held.get(r, math.inf)]
+    if not starts:
+        return True
+    graph: dict[int, list[int]] = {}
+    for r, c in near:
+        graph.setdefault(r, []).append(c)
+    holders: dict[int, list[int]] = {}
+    for r, c in held.items():
+        holders.setdefault(c, []).append(r)
+    for r, c in starts:
+        own, stack, seen = held.get(r), [c], set()
+        while stack:
+            c = stack.pop()
+            full = holders.get(c, [])
+            later = [r2 for r2 in full if r2 > r]
+            if c == own or len(full) < caps[c] or any(u[r2] <= delta for r2 in later):
+                return False
+            seen.add(c)
+            stack += [c2 for r2 in later for c2 in graph.get(r2, []) if c2 not in seen]
+    return True
 
 
 def _star_forest(
@@ -379,12 +427,9 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
        a matching, the only optimum.
     2. Certificate. Otherwise a first solve on the whole clamped,
        column-replicated matrix fixes the optimal total and an incumbent
-       matching. With at least _VECTORIZE_FROM positive entries, one set
-       of dual prices for that incumbent (`_certify`) is tested against
-       every pair the row loop below would try; if none can reach the
-       optimal total, the incumbent is the lexicographically smallest
-       optimum and is returned at once. Below that size numpy's fixed
-       cost per call exceeds what the test can save.
+       matching. It is returned at once if `_certify` proves it the
+       lexicographically smallest optimum: under its dual prices no row
+       has a near-tight alternating path to a smaller column.
     3. Row loop. Else rows are committed in index order: a row keeps the
        smallest column that still completes to the optimal total,
        verified by re-solving the remaining rows of its own component
@@ -411,40 +456,34 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     er, ec = np.nonzero(weights > 0.0)
     rows, cols, values = er.tolist(), ec.tolist(), weights[er, ec].tolist()
     caps = list(p.col_multiplicity)
-    first = None
-    # _certify costs a few dozen numpy calls whatever the size; what it
-    # can save, the edge maps, the component search and the row loop,
-    # costs about a microsecond per positive entry. A component has 2
-    # rows and 2 columns when some positive entry shares its row and its
-    # column with others.
-    if len(rows) >= _VECTORIZE_FROM and (
+    incumbent = None
+    # A component has 2 rows and 2 columns when some positive entry
+    # shares its row and its column with others.
+    if (
         (np.bincount(er, minlength=weights.shape[0])[er] > 1)
         & (np.bincount(ec, minlength=weights.shape[1])[ec] > 1)
     ).any():
         clamped = np.maximum(weights, 0.0)
-        inc_rows, inc_cols, picked = first = _solve(clamped, caps)
-        total = math.fsum(picked.tolist())
-        if _certify(clamped, inc_rows, inc_cols, caps, 1e-9 * total):
-            return list(zip(inc_rows.tolist(), inc_cols.tolist())), total
+        rr, cc, picked = _solve(clamped, caps)
+        first, total = (rr.tolist(), cc.tolist()), math.fsum(picked.tolist())
+        if _certify(clamped, (rows, cols, values), first, caps, total):
+            return list(zip(*first)), total
+        incumbent = dict(zip(*first))
+    else:
+        matched = _star_matching(values, _star_forest(rows, cols, caps))
+        if matched is not None:
+            matching = [(r, c) for r, c, m in zip(rows, cols, matched) if m]
+            return matching, math.fsum(w for w, m in zip(values, matched) if m)
 
     edges: dict[int, dict[int, float]] = {}
     for r, c, w in zip(rows, cols, values):
         edges.setdefault(r, {})[c] = w
     components = _components(edges, weights)
-    if not any(comp.solves for comp in components):
-        matched = _star_matching(values, _star_forest(rows, cols, caps))
-        if matched is not None:
-            matching = [(r, c) for r, c, m in zip(rows, cols, matched) if m]
-            return matching, math.fsum(w for w, m in zip(values, matched) if m)
-    elif first is None:
-        first = _solve(np.maximum(weights, 0.0), caps)
     position = {r: (comp, i) for comp in components for i, r in enumerate(comp.rows)}
-    if first is None:
+    if incumbent is None:
         incumbent = {}
         for comp in components:
             incumbent.update(comp.completion(0, caps)[1])
-    else:
-        incumbent = dict(zip(first[0].tolist(), first[1].tolist()))
     best_total = math.fsum(edges[r][c] for r, c in incumbent.items())
     # Margin of the dual skip test: far above the rounding error of the
     # solver and of the prices, far below any weight gap it must catch.

@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, PlanFormatError
 
+# Cells of the largest float array numpy can describe; a larger dense
+# tensor over slots, targets, satellites and destinations cannot be made.
+_MAX_CELLS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 
 def _finite(value, name: str, error=ConfigError) -> float:
     """``value`` as a finite float, else ``error``. This and ``_integer``
@@ -90,7 +94,17 @@ class NetworkConfig:
 
     def __post_init__(self):
         for name in ("num_targets", "num_eos", "num_destinations", "horizon"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            count = _integer(getattr(self, name), name, high=_MAX_CELLS)
+            object.__setattr__(self, name, count)
+        # Every dense tensor, the ledger's flows over slots, satellites,
+        # destinations and targets the largest, has at most this many cells.
+        cells = (self.horizon + 1) * self.num_eos * self.num_destinations
+        cells *= self.num_targets
+        if cells > _MAX_CELLS:
+            raise ConfigError(
+                f"horizon, num_targets, num_eos and num_destinations give dense "
+                f"tensors of {cells} cells, more than numpy can index ({_MAX_CELLS})"
+            )
 
         if np.isscalar(self.transceivers):
             trx = (_integer(self.transceivers, "transceivers"),) * self.num_destinations

@@ -480,8 +480,8 @@ class TestAgainstWholeProblemMatcher:
 
 
 class TestCertificate:
-    """At 100 or more positive entries the first solve is returned as it
-    is when its dual prices rule out every trial of the row loop."""
+    """The first solve is returned as it is when, under its dual prices,
+    no row has a near-tight alternating path to a smaller column."""
 
     def counting(self, monkeypatch):
         import eosched.assignment as assignment
@@ -558,6 +558,94 @@ class TestCertificate:
         assert certified == [False]
         assert priced and all(pair == ([0, 1], [0, 1]) for pair in priced)
         assert got == whole_problem_matching(w, mults)
+
+    def test_near_tight_smaller_column_without_a_path(self, monkeypatch):
+        # Row 0 ties between columns 0 and 1, but column 0 holds row 1,
+        # which has nowhere else to go: one solve decides.
+        w = [[5.0, 5.0], [5.0, 0.0]]
+        counts = self.counting(monkeypatch)
+        got = solve(w)
+        assert counts == {"solves": 1, "components": 0}
+        assert got == oracle(w) == ([(0, 1), (1, 0)], 10.0)
+
+    def test_path_through_a_later_row_takes_the_row_loop(self, monkeypatch):
+        # Row 0 can take column 0 if row 1 moves on to column 2, a
+        # matching within the slack of the optimum: the row loop decides,
+        # and the two totals differ in their last bits.
+        a, b = NEAR_TIES[0], NEAR_TIES[1]
+        w = np.array([[a, b, 0.0], [b, 0.0, a]])
+        counts = self.counting(monkeypatch)
+        got = solve(w)
+        assert counts["components"] == 1
+        assert got == whole_problem_matching(w, (1, 1, 1)) == oracle(w)
+
+    def test_path_through_an_earlier_row_does_not_count(self, monkeypatch):
+        # Row 1 could take column 0 only if row 0 moved on to column 2,
+        # but row 0 comes first and keeps its column.
+        a, b = NEAR_TIES[0], NEAR_TIES[1]
+        w = [[b, 0.0, a], [b, b, 0.0]]
+        counts = self.counting(monkeypatch)
+        got = solve(w)
+        assert counts == {"solves": 1, "components": 0}
+        assert got == oracle(w) == ([(0, 0), (1, 1)], 2 * b)
+
+    @pytest.fixture(params=["python", "numpy"])
+    def certify(self, request, monkeypatch):
+        """`_certify` on a given incumbent, with prices from either routine."""
+        import eosched.assignment as assignment
+
+        if request.param == "numpy":
+            monkeypatch.setattr(assignment, "_VECTORIZE_FROM", 0)
+
+        def certify(weights, incumbent, mults=None):
+            w = np.asarray(weights, dtype=float)
+            er, ec = np.nonzero(w > 0.0)
+            rows = sorted(incumbent)
+            cols = [incumbent[r] for r in rows]
+            return assignment._certify(
+                np.maximum(w, 0.0),
+                (er.tolist(), ec.tolist(), w[er, ec].tolist()),
+                (rows, cols),
+                list(mults or (1,) * w.shape[1]),
+                math.fsum(w[r, c] for r, c in zip(rows, cols)),
+            )
+
+        return certify
+
+    def test_row_that_can_go_unmatched_ends_a_path(self, certify):
+        # Both matchings weigh 2. Row 0 takes column 0 if row 1, whose
+        # price is 0 as row 2 bids the same for column 0, goes unmatched.
+        w = [[2.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+        assert not certify(w, {0: 1, 1: 0})
+        assert certify(w, {0: 0})
+        assert solve(w) == oracle(w) == ([(0, 0)], 2.0)
+
+    def test_gap_of_a_lighter_incumbent_widens_the_search(self, certify):
+        # The incumbent leaves row 1 out and weighs 2; the matching that
+        # gives row 0 the smaller column weighs 4, through an entry whose
+        # reduced cost only the gap of 3 admits.
+        assert not certify([[1.0, 2.0], [0.0, 3.0]], {0: 1})
+
+    def test_prices_that_do_not_settle_prove_nothing(self, certify):
+        # Swapping the two rows gains 4, so the prices rise on every pass;
+        # no smaller matching exists, but only settled prices certify.
+        assert not certify([[1.0, 3.0], [3.0, 1.0]], {0: 0, 1: 1})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_answer_as_the_row_loop(self, data):
+        import eosched.assignment as assignment
+
+        R, C = data.draw(st.integers(2, 10)), data.draw(st.integers(2, 8))
+        values = data.draw(
+            st.sampled_from([[1.0, 2.0, 3.0, 4.0, 5.0], NEAR_TIES]), label="values"
+        )
+        cell = st.sampled_from(values) | st.just(0.0) | st.just(0.0)
+        w = np.array([[data.draw(cell) for _ in range(C)] for _ in range(R)])
+        mults = tuple(data.draw(st.integers(1, 3)) for _ in range(C))
+        got = solve(w, mults)
+        with mock.patch.object(assignment, "_certify", return_value=False):
+            assert got == solve(w, mults)
 
 
 def test_trials_on_pairs_off_the_dual_optimum_need_no_solve(monkeypatch):

@@ -163,6 +163,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: dual_init")
 
+    @pytest.mark.parametrize("value", [1e308, 10**30], ids=["1e308", "10**30"])
+    @pytest.mark.parametrize(
+        "field", ["num_targets", "num_eos", "num_destinations", "horizon"]
+    )
+    def test_count_beyond_numpy_index_exits_one(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be an integer")
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, typo_key=3)
         assert main(["run", "--config", str(cfg)]) == 1

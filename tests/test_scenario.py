@@ -104,6 +104,12 @@ class TestConfigValues:
             ("horizon", np.bool_(True)),
             ("transceivers", (1, True)),
             ("rng_seed", "0"),
+            # More cells than a numpy array can index.
+            *[
+                (field, value)
+                for field in ("num_targets", "num_eos", "num_destinations", "horizon")
+                for value in (1e308, 10**30)
+            ],
         ],
     )
     def test_non_integral_count_names_field(self, field, value):
@@ -112,6 +118,13 @@ class TestConfigValues:
             overrides["num_destinations"] = len(value)
         with pytest.raises(ConfigError, match=field):
             make_config(**overrides)
+
+    def test_tensor_beyond_numpy_index_rejected(self):
+        # Each count fits; the (horizon + 1) x 2**10 x 1 x 2**10 ledger
+        # tensor has more cells than a numpy float array can.
+        with pytest.raises(ConfigError, match="horizon, num_targets, num_eos"):
+            make_config(num_targets=2**10, num_eos=2**10, num_destinations=1,
+                        horizon=2**40)
 
     def test_integral_floats_are_counts(self):
         cfg = make_config(
