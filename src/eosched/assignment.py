@@ -8,17 +8,18 @@ as good. Among equal-weight optima the solver returns the
 lexicographically smallest matching by (row, col), which keeps every
 caller deterministic.
 
-`max_weight_assignment` answers by one of three paths: a closed form
-where every component of the positive entries is a star
-(`_star_matching`), a certificate that proves one solve of the whole
-problem is the answer (`_certify`), and otherwise a row loop that
-commits rows in index order (`_Component`). Both rest on dual prices
-from one recurrence, run in numpy (`_dual_prices`) from _VECTORIZE_FROM
-positive entries up and in Python (`_python_prices`) on smaller problems
-and the row loop's components. Numpy's few dozen calls cost less than
-Python loops only on large problems, such as a constellation's
-transmission matchings, where they also rule out most trials before any
-graph is built in Python.
+`max_weight_assignment` hands a matrix's positive entries to its core,
+`_assign`, which JOSAP's dual loop also calls, and which answers by one
+of three paths: a closed form where every component of the positive
+entries is a star (`_star_matching`), a certificate that proves one
+solve of the whole problem is the answer (`_certify`), and otherwise a
+row loop that commits rows in index order (`_Component`). Both rest on
+dual prices from one recurrence, run in numpy (`_dual_prices`) from
+_VECTORIZE_FROM positive entries up and in Python (`_python_prices`) on
+smaller problems and the row loop's components. Numpy's few dozen calls
+cost less than Python loops only on large problems, such as a
+constellation's transmission matchings, where they also rule out most
+trials before any graph is built in Python.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ class _Component:
 
     `rows` and `cols` are ascending indices; `edges` maps each row to its
     positive weights by column. A component with at least 2 rows and 2
-    columns is the only shape that needs the solver; its clamped weights
-    are built on first use, and it keeps the dual prices that decide
-    which trials can still tie (see `_dual_prices`).
+    columns is the only shape that needs the solver; its block of the
+    clamped `weights` is taken on first use, and it keeps the dual
+    prices that decide which trials can still tie (see `_dual_prices`).
     """
 
     def __init__(
@@ -162,7 +163,7 @@ class _Component:
 
     @functools.cached_property
     def clamped(self) -> np.ndarray:
-        return np.maximum(self.weights[self.rows][:, self.cols], 0.0)
+        return self.weights[self.rows][:, self.cols]
 
     def price(
         self, i: int, kept: int | None, incumbent: dict[int, int], caps: list[int]
@@ -414,11 +415,33 @@ def _star_matching(
 
 
 def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
-    """Globally optimal partial matching, lexicographically smallest
-    among ties, by one of three paths.
+    """Lexicographically smallest optimal partial matching of `p`, by `_assign`."""
+    weights = p.weights
+    er, ec = np.nonzero(weights > 0.0)
+    rows, cols, values = er.tolist(), ec.tolist(), weights[er, ec].tolist()
+    # A component has 2 rows and 2 columns when some positive entry
+    # shares its row and its column with others.
+    shared = (
+        (np.bincount(er, minlength=weights.shape[0])[er] > 1)
+        & (np.bincount(ec, minlength=weights.shape[1])[ec] > 1)
+    ).any()
+    stars = None if shared else _star_forest(rows, cols, p.col_multiplicity)
+    clamped = np.maximum(weights, 0.0)
+    return _assign(clamped, p.col_multiplicity, rows, cols, values, stars)
+
+
+def _assign(
+    clamped: np.ndarray, mults, rows: list[int], cols: list[int],
+    values: list[float], stars: list[tuple[int, list[int]]] | None,
+) -> tuple[Matching, float]:
+    """The matcher's core, on the whole clamped matrix whose positive
+    entries are (rows[j], cols[j]) of weight values[j] in row-major
+    order, column c taking up to mults[c] rows; `stars` is their
+    `_star_forest`, or None where an entry shares its row and column.
 
     Only positive weights can be matched, so the problem splits into the
-    connected components of its positive-weight bipartite graph.
+    connected components of its positive-weight bipartite graph, and the
+    answer comes by one of three paths.
 
     1. Stars. When no component has 2 rows and 2 columns, every
        component is a star around one row or one column, and
@@ -452,25 +475,19 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     back one unit in the last place short and so change which matching
     ties.
     """
-    weights = p.weights
-    er, ec = np.nonzero(weights > 0.0)
-    rows, cols, values = er.tolist(), ec.tolist(), weights[er, ec].tolist()
-    caps = list(p.col_multiplicity)
+    # A column never takes more rows than there are, so capping its
+    # multiplicity there is exact; the row loop decrements this copy.
+    R = clamped.shape[0]
+    caps = list(mults) if max(mults, default=R) <= R else [min(m, R) for m in mults]
     incumbent = None
-    # A component has 2 rows and 2 columns when some positive entry
-    # shares its row and its column with others.
-    if (
-        (np.bincount(er, minlength=weights.shape[0])[er] > 1)
-        & (np.bincount(ec, minlength=weights.shape[1])[ec] > 1)
-    ).any():
-        clamped = np.maximum(weights, 0.0)
+    if stars is None:
         rr, cc, picked = _solve(clamped, caps)
         first, total = (rr.tolist(), cc.tolist()), math.fsum(picked.tolist())
         if _certify(clamped, (rows, cols, values), first, caps, total):
             return list(zip(*first)), total
         incumbent = dict(zip(*first))
     else:
-        matched = _star_matching(values, _star_forest(rows, cols, caps))
+        matched = _star_matching(values, stars)
         if matched is not None:
             matching = [(r, c) for r, c, m in zip(rows, cols, matched) if m]
             return matching, math.fsum(w for w, m in zip(values, matched) if m)
@@ -478,7 +495,7 @@ def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
     edges: dict[int, dict[int, float]] = {}
     for r, c, w in zip(rows, cols, values):
         edges.setdefault(r, {})[c] = w
-    components = _components(edges, weights)
+    components = _components(edges, clamped)
     position = {r: (comp, i) for comp in components for i, r in enumerate(comp.rows)}
     if incumbent is None:
         incumbent = {}

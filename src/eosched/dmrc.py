@@ -19,16 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .assignment import (
     AssignmentProblem,
+    _assign,
     _star_forest,
     _star_matching,
     max_weight_assignment,
 )
-from .errors import ParameterError, ScheduleValidationError
+from .errors import ConfigError, ParameterError, ScheduleValidationError
 from .scenario import ChannelState, NetworkConfig, _finite, _integer
 
 
@@ -115,7 +117,11 @@ def optimal_arrival(chi: float, v: float, cap: float) -> float:
         raise ParameterError("control factor must be positive")
     if cap < 0:
         raise ParameterError("cap must be nonnegative")
-    cap = float(cap)
+    return _arrival(chi, v, float(cap))
+
+
+def _arrival(chi: float, v: float, cap: float) -> float:
+    """``optimal_arrival`` for a valid ``v`` and a float ``cap``."""
     if chi >= v:
         return 0.0
     if chi <= v / (1.0 + cap):
@@ -137,12 +143,22 @@ def project_ratio(
     """
     if b <= 0:
         raise ParameterError("observation capacity must be positive")
-    best_rho, best_val = 0.0, 0.0
-    for rho in sorted(ratios):
-        val = v * math.log1p(rho * b) - chi * rho * b
+    return _pick_ratio(_ratio_table(ratios, v, b), chi, b)[0]
+
+
+def _ratio_table(ratios, v: float, b: float) -> list[tuple[float, float]]:
+    """The ratios in ascending order with their terms ``v*log1p(rho*b)``."""
+    return [(rho, v * math.log1p(rho * b)) for rho in sorted(ratios)]
+
+
+def _pick_ratio(table, chi: float, b: float) -> tuple[float, float]:
+    """``project_ratio``'s pick from a ``_ratio_table``, with its term."""
+    best_rho = best_term = best_val = 0.0
+    for rho, term in table:
+        val = term - chi * rho * b
         if val >= best_val:
-            best_rho, best_val = rho, val
-    return best_rho
+            best_rho, best_term, best_val = rho, term, val
+    return best_rho, best_term
 
 
 def observation_matching(alpha: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -199,12 +215,11 @@ def josap_solve(
     a cap of 0, a free arrival of 0 and a subgradient of 0, so its
     multiplier stays at ``dual_init``, and its weight of 0 is never
     matched. The loop therefore keeps the visible pairs' multipliers,
-    arrivals and ratio choices as plain floats, in row-major order.
-    When no visible pair shares both its target and its satellite with
-    others, the visible pairs form stars, and each iteration's matching
-    comes from the matcher's closed form for stars, ``_star_matching``;
-    otherwise, or where that cannot tell, the iteration writes the
-    multipliers into the (I, K) matrix for ``observation_matching``. A
+    arrivals and ratio tables (``_ratio_table``) as plain floats, in
+    row-major order, updated in one pass per iteration. Pairs sharing no
+    target and no satellite are matched where their weight is positive,
+    stars by the matcher's closed form (``_star_matching``), and the rest
+    by the matcher's core, ``_assign``, on the whole (I, K) matrix. A
     ``dual_init`` whose product with some capacity overflows is rejected
     before the first iteration.
     """
@@ -217,8 +232,7 @@ def josap_solve(
     if not ((B >= 0) & (B < math.inf)).all():
         raise ParameterError("observation capacities must be finite and nonnegative")
 
-    # Flat (row-major) indices of the visible pairs, and their rows and
-    # columns.
+    # Flat (row-major) indices of the visible pairs, their rows and columns.
     visible = np.flatnonzero(B > 0)
     rows, cols = (index.tolist() for index in np.divmod(visible, B.shape[1]))
     b_vis = B.take(visible).tolist()
@@ -231,51 +245,59 @@ def josap_solve(
     alpha = [params.dual_init] * len(b_vis)
     # The matching weights alpha_j * B_j, the products the matcher sees.
     weights = [a * b for a, b in zip(alpha, b_vis)]
+    tables = [_ratio_table(ratios, v, b) for b in b_vis]
+    free = [_arrival(a + p, v, cap) for a, p, cap in zip(alpha, pressure, caps)]
 
-    # The slot's matching structure, worked out once: the stars of the
-    # visible pairs, or None where some pair shares both its target and
-    # its satellite. The matcher runs on the whole (I, K) matrix, not on
-    # the submatrix of the visible rows and columns:
-    # max_weight_assignment's first solve is not invariant under zero
-    # padding on near-ties (see its docstring), so a smaller matrix can
-    # pick a different matching among equal totals.
-    stars = _star_forest(rows, cols, (1,) * B.shape[1])
-    # The (I, K) multipliers, written for the matcher and then returned.
-    alpha_matrix = np.full_like(B, params.dual_init)
+    # The visible pairs' stars, or None where a pair shares its target and
+    # satellite. The matcher sees the whole (I, K) matrix, as its first
+    # solve is not invariant under zero padding on near-ties (`_assign`).
+    ones = (1,) * B.shape[1]
+    stars = _star_forest(rows, cols, ones)
+    matrix, pairs = np.zeros(B.shape), list(zip(rows, cols))
 
-    best_obj = -math.inf
-    best = None
-    converged = False
-    iterations = 0
+    best_obj, best, converged = -math.inf, None, False
     for l in range(1, params.max_iters + 1):
-        iterations = l
-        free = [
-            optimal_arrival(a + p, v, cap) for a, p, cap in zip(alpha, pressure, caps)
-        ]
-        matched = None if stars is None else _star_matching(weights, stars)
+        matched = [w > 0.0 for w in weights] if stars == [] else None
+        if stars:
+            matched = _star_matching(weights, stars)
         if matched is None:
-            alpha_matrix.put(visible, alpha)
-            matched = observation_matching(alpha_matrix, B).take(visible).tolist()
+            if math.inf in weights:
+                raise ConfigError("weights must be finite")
+            matrix.put(visible, weights)
+            live = [w > 0.0 for w in weights]
+            lr, lc = list(compress(rows, live)), list(compress(cols, live))
+            lw, shape = list(compress(weights, live)), stars
+            if not all(live):
+                # Multipliers clipped to zero can leave the rest in stars.
+                n_r, n_c = [0] * B.shape[0], [0] * B.shape[1]
+                for r, c in zip(lr, lc):
+                    n_r[r] += 1
+                    n_c[c] += 1
+                if all(n_r[r] < 2 or n_c[c] < 2 for r, c in zip(lr, lc)):
+                    shape = _star_forest(lr, lc, ones)
+            chosen = set(_assign(matrix, ones, lr, lc, lw, shape)[0])
+            matched = list(map(chosen.__contains__, pairs))
 
         # One pass in row-major order: complete each matched pair into a
         # ratio choice scored with the true subproblem objective, and take
-        # the subgradient step (clipped at zero) on every pair.
+        # the subgradient step (clipped at zero) and the next arrival.
         step = params.step_scale / l
         picks = []
         obj = delta = 0.0
         for j, m in enumerate(matched):
-            b, a_j = b_vis[j], alpha[j]
+            b, a_j, p_j = b_vis[j], alpha[j], pressure[j]
             if m:
                 # Charging a_j per Mbit on top of the pressure sets the ratios' V trend.
-                r = project_ratio(free[j] / b, b, ratios, v, a_j + pressure[j])
-                a = r * b
+                r, term = _pick_ratio(tables[j], a_j + p_j, b)
                 picks.append((rows[j], cols[j], r))
-                obj += v * math.log1p(a) - pressure[j] * a
+                obj += term - p_j * (r * b)
             moved = a_j - step * ((b if m else 0.0) - free[j])
             moved = moved if moved > 0.0 else 0.0
-            delta = max(delta, abs(moved - a_j))
+            change = abs(moved - a_j)
+            delta = change if change > delta else delta
             alpha[j] = moved
             weights[j] = moved * b
+            free[j] = _arrival(moved + p_j, v, caps[j])
         if obj > best_obj:
             best_obj = obj
             best = picks
@@ -283,13 +305,14 @@ def josap_solve(
             converged = True
             break
 
-    alpha_matrix.put(visible, alpha)
+    duals = np.full_like(B, params.dual_init)
+    duals.put(visible, alpha)
     return JosapResult(
         *_observation(B, best),
         objective=best_obj,
-        iterations=iterations,
+        iterations=l,
         converged=converged,
-        duals=alpha_matrix,
+        duals=duals,
     )
 
 

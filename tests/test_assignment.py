@@ -559,6 +559,34 @@ class TestCertificate:
         assert priced and all(pair == ([0, 1], [0, 1]) for pair in priced)
         assert got == whole_problem_matching(w, mults)
 
+    def test_core_leaves_the_callers_multiplicities_unchanged(self, monkeypatch):
+        # The near-tie of test_near_tie_in_a_smaller_column_keeps_the_row_loop
+        # takes the row loop, which decrements column capacities in place.
+        # The core works on a copy, so one list of multiplicities can serve
+        # call after call, as in the dual loop.
+        import eosched.assignment as assignment
+
+        rng = np.random.default_rng(9100)
+        w = np.zeros((31, 6))
+        w[0, 0], w[0, 1] = NEAR_TIES[0], NEAR_TIES[1]
+        w[1:, 2:] = rng.choice(NEAR_TIES, size=(30, 4))
+        mults = [1, 1, 8, 8, 8, 8]
+        certified = []
+        real_certify = assignment._certify
+
+        def certify(*args):
+            certified.append(real_certify(*args))
+            return certified[-1]
+
+        monkeypatch.setattr(assignment, "_certify", certify)
+        want = solve(w, tuple(mults))
+        rows, cols = np.nonzero(w > 0.0)
+        entries = rows.tolist(), cols.tolist(), w[rows, cols].tolist()
+        assert assignment._assign(w, mults, *entries, None) == want
+        assert assignment._assign(w, mults, *entries, None) == want
+        assert mults == [1, 1, 8, 8, 8, 8]
+        assert certified == [False] * 3
+
     def test_near_tight_smaller_column_without_a_path(self, monkeypatch):
         # Row 0 ties between columns 0 and 1, but column 0 holds row 1,
         # which has nowhere else to go: one solve decides.

@@ -163,6 +163,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: dual_init")
 
+    def test_overflowing_dual_loop_weights_exit_one(self, tmp_path, capsys):
+        # Capacities of 1e200 push the multiplier-weighted capacities past
+        # the float range by the second iteration, in slots whose visible
+        # pairs share targets and satellites.
+        cfg = write_config(tmp_path, obs_support=[1e200], obs_probs=[1.0])
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: weights must be finite")
+
     @pytest.mark.parametrize("value", [1e308, 10**30], ids=["1e308", "10**30"])
     @pytest.mark.parametrize(
         "field", ["num_targets", "num_eos", "num_destinations", "horizon"]
@@ -171,6 +179,30 @@ class TestRunCommand:
         cfg = write_config(tmp_path, **{field: value})
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must be an integer")
+
+    @pytest.mark.parametrize("policy", ["dmrc", "fixed_cr", "random"])
+    def test_transceivers_beyond_the_satellite_count_change_nothing(
+        self, tmp_path, policy
+    ):
+        # A destination never serves more satellites than there are, so
+        # every count of at least 3 gives the same run; the matcher must
+        # not replicate its columns that often.
+        def csvs(transceivers):
+            out = tmp_path / f"out_{transceivers}"
+            cfg = write_config(
+                tmp_path, num_destinations=2, transceivers=transceivers,
+                output_dir=str(out), plan_synthetic={
+                    "obs_period": 4, "obs_duty": 0.5,
+                    "trans_period": 10, "trans_duty": 0.9, "offset_seed": 1,
+                },
+            )
+            assert main(["run", "--config", str(cfg), "--policy", policy]) == 0
+            return {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+
+        expected = csvs(3)
+        assert len(expected) == 3
+        for transceivers in (10**9, 10**30, 1e308):
+            assert csvs(transceivers) == expected
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, typo_key=3)

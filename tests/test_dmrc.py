@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -395,7 +396,7 @@ class TestJosapSolve:
         assert (res.objective, res.iterations, res.converged) == (obj, iters, converged)
 
     def test_disjoint_visible_pairs_need_no_matcher_call(self, monkeypatch):
-        def no_matcher(problem):
+        def no_matcher(*args):
             raise AssertionError("max_weight_assignment called")
 
         cfg = make_config(num_targets=3, num_eos=4)
@@ -410,7 +411,7 @@ class TestJosapSolve:
         x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
             Q, P, stars, cfg, params
         )
-        monkeypatch.setattr(dmrc, "max_weight_assignment", no_matcher)
+        monkeypatch.setattr(dmrc, "_assign", no_matcher)
         res = josap_solve(Q, P, disjoint, cfg, params)
         assert res.observe.tolist() == (disjoint > 0).astype(int).tolist()
         josap_solve(Q, P, np.zeros((3, 4)), cfg)
@@ -436,15 +437,63 @@ class TestJosapSolve:
             Q, P, B, cfg, params
         )
         calls = []
-        real = dmrc.observation_matching
-        monkeypatch.setattr(
-            dmrc, "observation_matching", lambda *a: calls.append(1) or real(*a)
-        )
+        real = dmrc._assign
+        monkeypatch.setattr(dmrc, "_assign", lambda *a: calls.append(1) or real(*a))
         res = josap_solve(Q, P, B, cfg, params)
         assert 0 < len(calls) < iters
         for got, want in ((res.observe, x), (res.rho, rho), (res.duals, duals)):
             assert got.tobytes() == want.tobytes()
         assert (res.objective, res.iterations) == (obj, iters)
+
+    @pytest.mark.parametrize(
+        "case", ["idle_pressure", "matched_at_ratio_0", "clipped_to_stars", "ratio_set"]
+    )
+    def test_matches_dense_reference_on_edge_cases(self, monkeypatch, case):
+        rng = np.random.default_rng(31)
+        B = rng.choice((600.0, 800.0, 1000.0), size=(3, 4))
+        B[rng.random((3, 4)) < 0.3] = 0.0
+        Q, P = rng.uniform(0, 3000, (4, 3)), np.zeros(3)
+        cfg = make_config(num_targets=3, num_eos=4)
+        params = SolverParams(dual_init=0.25)
+        if case == "idle_pressure":
+            # Backlogs at or above V: those pairs' arrivals are 0 and
+            # every ratio loses to staying idle.
+            Q[:2] = (8000.0, 9000.0, 20000.0)
+        elif case == "matched_at_ratio_0":
+            Q[:] = 9000.0
+            params = SolverParams(dual_init=2.0)
+        elif case == "ratio_set":
+            # Given unsorted and with a duplicate, which a config rejects;
+            # deficits above the backlogs make ratios worth picking.
+            ratios = (1 / 4, 2 / 3, 1 / 2, 2 / 3)
+            P = rng.uniform(2000, 3000, 3)
+            cfg = types.SimpleNamespace(control_factor=8000.0, compression_set=ratios)
+        assert shares_a_target_and_satellite(B)
+        shapes = []
+        real = dmrc._assign
+        monkeypatch.setattr(
+            dmrc, "_assign", lambda *a: shapes.append(a[-1]) or real(*a)
+        )
+        res = josap_solve(Q, P, B, cfg, params)
+        x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
+            Q, P, B, cfg, params
+        )
+        for got, want in (
+            (res.observe, x), (res.rho, rho), (res.arrivals, arrivals),
+            (res.duals, duals),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (res.objective, res.iterations, res.converged) == (obj, iters, converged)
+        if case == "idle_pressure":
+            assert (Q.T[B > 0] >= cfg.control_factor).any()
+        elif case == "matched_at_ratio_0":
+            assert (res.observe & (res.rho == 0.0)).any()
+        elif case == "clipped_to_stars":
+            # Matched pairs' multipliers clip to 0 after the first step,
+            # and the positive entries left no longer share.
+            assert shapes[0] is None and any(s is not None for s in shapes)
+        elif case == "ratio_set":
+            assert res.rho.any()
 
     def test_pairs_without_capacity_keep_dual_init_and_are_never_observed(self):
         cfg = make_config(num_targets=4, num_eos=5)
