@@ -10,21 +10,22 @@ caller deterministic.
 
 `max_weight_assignment` hands a matrix's positive entries to its core,
 `_assign`, which JOSAP's dual loop also calls, and which answers by one
-of three paths: a closed form where every component of the positive
-entries is a star (`_star_matching`), a certificate that proves one
-solve of the whole problem is the answer (`_certify`), and otherwise a
-row loop that commits rows in index order (`_Component`). Both rest on
-dual prices from one recurrence, run in numpy (`_dual_prices`) from
-_VECTORIZE_FROM positive entries up and in Python (`_python_prices`) on
-smaller problems and the row loop's components. Numpy's few dozen calls
-cost less than Python loops only on large problems, such as a
-constellation's transmission matchings, where they also rule out most
-trials before any graph is built in Python.
+of two paths. Where every component of the positive entries is a star,
+a closed form does (`_star_matching`). Otherwise one solve of the whole
+problem fixes the optimal total, and its dual prices, from numpy
+(`_dual_prices`) or Python (`_python_prices`), the near-tight entries:
+those of reduced cost within the prices' gap plus twice the slack, 1e-9
+of the total. Every matching that weighs the total uses only those, so
+the tie-break (`_tie_break`) moves rows, in index order, to smaller
+columns along alternating paths of them, keeping an exchange only where
+the correctly rounded sum (math.fsum) of the whole new matching equals
+the first solve's total. Where no row has a near-tight smaller column,
+the first solve is the answer, with no graph built.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -36,8 +37,12 @@ from .errors import ConfigError, OracleSizeError
 
 Matching = list[tuple[int, int]]
 
-# Positive entries from which numpy prices a matching problem: below
-# this, its fixed cost per call exceeds the Python loops it replaces.
+# Positive entries from which numpy prices a matching problem and rules
+# out every row at once; Python prices the smaller ones. Both routines
+# win on some workload: pricing ms per seed-0 run, Python vs numpy, were
+# desk 12x2 9.4 vs 29.2, desk 8x12 14.2 vs 45.7, constellation 30x60
+# 122.6 vs 200.8, constellation 60x6 10.3 vs 6.8, Fixed-CR 30x60 57.7 vs
+# 91.4 and Fixed-CR 60x6 161.3 vs 71.7.
 _VECTORIZE_FROM = 100
 
 
@@ -71,22 +76,22 @@ class AssignmentProblem:
         object.__setattr__(self, "col_multiplicity", mult)
 
 
-def _dual_prices(
-    w: np.ndarray, held: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _dual_prices(w: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column and row prices (v, u) for the clamped weights `w` and a
-    matching `held`: each row's column, or w.shape[1] where unmatched;
-    None when they have not settled after one pass per column.
+    matching `held`: each row's column, or w.shape[1] where unmatched.
 
     Any column prices v >= 0, with row prices u_r = max(0, max_c w[r, c]
     - v_c), are feasible for the dual of the matching LP, so by weak
-    duality a matching that gives row r column c weighs at most
-    sum(u) + sum(caps_c v_c) - (u_r - w[r, c] + v_c). Prices are raised
+    duality no matching weighs more than sum(u) + sum(caps_c v_c), and
+    each entry of one that weighs the total of `held` has a reduced cost
+    u_r + v_c - w[r, c] of at most that bound's gap. Prices are raised
     along alternating paths of `held` (longest paths, Bellman-Ford)
-    until every held pair is tight, which makes the bound exact where
-    `held` is optimal. Zero entries count as pairs of weight 0: where
-    `held` is optimal their constraints are already met, and elsewhere
-    any prices are still feasible.
+    until every held pair is tight, which closes the gap where `held` is
+    optimal. Where a cycle gains a rounding error, prices do not settle;
+    after one pass per column they are returned as they are, still
+    feasible, and the wider gap only widens the tie-break's search. Zero
+    entries count as pairs of weight 0: where `held` is optimal their
+    constraints are already met, and elsewhere any prices are feasible.
     """
     free = held == w.shape[1]
     # An unmatched row has u_r = 0, so each of its weights bounds v.
@@ -101,18 +106,18 @@ def _dual_prices(
             v, ((v[cols] - own)[:, None] + moves).max(axis=0, initial=0.0)
         )
         if (raised == v).all():
-            return v, (w - v).max(axis=1, initial=0.0)
+            break
         v = raised
-    return None
+    return v, (w - v).max(axis=1, initial=0.0)
 
 
 def _python_prices(
     entries: list[tuple[int, int, float]], held: dict, caps: list[int]
-) -> tuple[list[float], dict[int, float], float, bool]:
+) -> tuple[list[float], dict[int, float], float]:
     """`_dual_prices` in Python, over `entries`, positive (row, column,
     weight) triples, where row r holds column held.get(r): column prices
-    by index, row prices by row, the dual objective under capacities
-    `caps` minus the weight held, and whether the prices settled."""
+    by index, row prices by row, and the dual objective under capacities
+    `caps` minus the weight held."""
     v = [0.0] * len(caps)
     u, own = {}, {}
     for r, c, w in entries:
@@ -124,7 +129,6 @@ def _python_prices(
         elif h == c:
             own[r] = w
     moves = [(held[r], c, w - own[r]) for r, c, w in entries if c != held.get(r, c)]
-    raised = False
     for _ in caps:
         raised = False
         for h, c, d in moves:
@@ -137,125 +141,7 @@ def _python_prices(
         if w - v[c] > u[r]:
             u[r] = w - v[c]
     gap = sum(u.values()) + sum(map(operator.mul, caps, v)) - sum(own.values())
-    return v, u, gap, not raised
-
-
-class _Component:
-    """One connected component of the positive-weight bipartite graph.
-
-    `rows` and `cols` are ascending indices; `edges` maps each row to its
-    positive weights by column. A component with at least 2 rows and 2
-    columns is the only shape that needs the solver; its block of the
-    clamped `weights` is taken on first use, and it keeps the dual
-    prices that decide which trials can still tie (see `_dual_prices`).
-    """
-
-    def __init__(
-        self,
-        rows: list[int],
-        cols: list[int],
-        edges: dict[int, dict[int, float]],
-        weights: np.ndarray,
-    ):
-        self.rows, self.cols, self.edges, self.weights = rows, cols, edges, weights
-        self.solves = len(rows) > 1 and len(cols) > 1
-        self.col_prices: list[float] | None = None
-
-    @functools.cached_property
-    def clamped(self) -> np.ndarray:
-        return self.weights[self.rows][:, self.cols]
-
-    def price(
-        self, i: int, kept: int | None, incumbent: dict[int, int], caps: list[int]
-    ) -> None:
-        """Dual prices (`_python_prices`) for rows[i:], where row i holds
-        `kept` and later rows follow `incumbent`; `gap` is the dual
-        objective of that subproblem under capacities `caps` minus the
-        weight held."""
-        entries = [(r, c, w) for r in self.rows[i:] for c, w in self.edges[r].items()]
-        held = incumbent if kept is None else {**incumbent, self.rows[i]: kept}
-        prices = _python_prices(entries, held, caps)
-        self.col_prices, self.row_prices, self.gap, _ = prices
-
-    def viable(
-        self, r: int, row: dict[int, float], options: list[int], slack: float
-    ) -> list[int]:
-        """The options of row r whose trial can still reach the
-        incumbent's total, by the dual bound of `_dual_prices`."""
-        floor = self.row_prices[r] - self.gap - slack
-        return [c for c in options if row[c] - self.col_prices[c] >= floor]
-
-    def commit(self, r: int, chosen: int | None, kept: int | None) -> None:
-        """Carry the prices past row r: they stay feasible, and the gap
-        moves by what row r takes out of the dual and the incumbent.
-        A trial that replaced the incumbent makes them stale."""
-        if self.col_prices is None:
-            return
-        if chosen != kept:
-            self.col_prices = None
-            return
-        self.gap -= self.row_prices[r]
-        if kept is not None:
-            self.gap += self.edges[r][kept] - self.col_prices[kept]
-
-    def completion(
-        self, start: int, caps: list[int]
-    ) -> tuple[list[float], dict[int, int]]:
-        """Optimal matching of rows[start:] into this component's columns
-        with remaining capacities `caps`: the matched weights and a
-        row -> column map."""
-        rows, edges = self.rows[start:], self.edges
-        if not rows:
-            return [], {}
-        if len(self.cols) == 1:
-            # One column of capacity m takes the top m rows by weight.
-            c = self.cols[0]
-            top = sorted(rows, key=lambda r: (-edges[r][c], r))[: caps[c]]
-            return [edges[r][c] for r in top], dict.fromkeys(top, c)
-        if len(rows) == 1:
-            # One row takes the smallest column of maximal weight.
-            row = edges[rows[0]]
-            options = [c for c in row if caps[c] > 0]
-            if not options:
-                return [], {}
-            c = max(options, key=lambda c: (row[c], -c))
-            return [row[c]], {rows[0]: c}
-        local = [caps[c] for c in self.cols]
-        if not any(local):
-            return [], {}
-        rr, cc, picked = _solve(self.clamped[start:], local)
-        matched_rows = [self.rows[start + a] for a in rr.tolist()]
-        matched_cols = [self.cols[b] for b in cc.tolist()]
-        return picked.tolist(), dict(zip(matched_rows, matched_cols))
-
-
-def _components(
-    edges: dict[int, dict[int, float]], weights: np.ndarray
-) -> list[_Component]:
-    """Connected components of the graph whose edges are `edges`, in
-    order of their first row."""
-    col_rows: dict[int, list[int]] = {}
-    for r, row in edges.items():
-        for c in row:
-            col_rows.setdefault(c, []).append(r)
-    seen: set[int] = set()
-    components = []
-    for first in edges:
-        if first in seen:
-            continue
-        seen.add(first)
-        rows, cols, stack = [first], set(), [first]
-        while stack:
-            for c in edges[stack.pop()]:
-                if c not in cols:
-                    cols.add(c)
-                    for r in col_rows[c]:
-                        if r not in seen:
-                            seen.add(r)
-                            rows.append(r)
-                            stack.append(r)
-        components.append(_Component(sorted(rows), sorted(cols), edges, weights))
-    return components
+    return v, u, gap
 
 
 def _solve(
@@ -273,75 +159,136 @@ def _solve(
     return rr[keep], col_ids[cc[keep]], picked[keep]
 
 
-def _certify(
-    clamped: np.ndarray,
-    positive: tuple[list[int], list[int], list[float]],
-    matched: tuple[list[int], list[int]],
-    caps: list[int],
-    total: float,
-) -> bool:
-    """Whether no matching within slack of `total`, or heavier, is
-    lexicographically smaller than the incumbent, rows matched[0] to
-    columns matched[1] of weight `total`: for an optimal incumbent, that
-    it is the row loop's answer. `positive` holds the positive entries'
-    rows, columns and weights in row-major order.
+def _near_tight(
+    clamped: np.ndarray, positive, held: dict[int, int], caps: list[int], total: float
+):
+    """The near-tight entries of `held`, a first solve of weight `total`,
+    as (row, column) pairs in row-major order, with the row prices u,
+    column prices v and slack delta; or None when no row has a
+    near-tight column below its own (any, if unmatched) that a later row
+    could free. `positive` holds the positive entries' rows, columns and
+    weights in row-major order.
 
-    Take feasible prices (v, u) for the incumbent, their gap g = sum(u)
-    + sum(caps v) - total, and delta = g + 2 slack, one slack a margin
-    for rounding. Such a matching uses only entries of reduced cost
-    u_r + v_c - w[r, c] <= delta and leaves a row unmatched only if
-    u_r <= delta. From its first row r that differs, taking column c (a
-    smaller one, or any if r is unmatched), it holds an alternating path
-    that leaves each full column by a later row's near-tight entry and
-    ends at a column with room, at r's own column or at a later row with
-    u <= delta. Without any such path the certificate holds; prices that
-    have not settled fail it.
+    With the prices' gap g = sum(u) + sum(caps v) - total and a slack of
+    1e-9 of the total, far above the rounding of the solver and the
+    prices, a matching within one slack of `total` uses only entries of
+    reduced cost at most delta = g + 2 slack, leaves a row unmatched only
+    if u_r <= delta and a column short only if v_c <= delta.
     """
     slack = 1e-9 * total
-    held = dict(zip(*matched))
     if len(positive[0]) >= _VECTORIZE_FROM:
-        held_cols = np.full(clamped.shape[0], clamped.shape[1])
-        held_cols[matched[0]] = matched[1]
-        prices = _dual_prices(clamped, held_cols)
-        if prices is None:
-            return False
-        v, u = prices
+        R, C = clamped.shape
+        held_cols = np.full(R, C)
+        held_cols[list(held)] = list(held.values())
+        v, u = _dual_prices(clamped, held_cols)
         delta = u.sum() + np.dot(caps, v) - total + 2 * slack
         tight = (clamped > 0.0) & (u[:, None] + v - clamped <= delta)
         # Done if no smaller column has room once the earlier rows keep theirs.
-        order = np.arange(clamped.shape[1])
+        order = np.arange(C)
         room = np.cumsum(held_cols[:, None] == order, axis=0) < caps
         if not (tight & (order < held_cols[:, None]) & room).any():
-            return True
-        near = list(zip(*(index.tolist() for index in np.nonzero(tight))))
-        u = u.tolist()
-    else:
-        entries = list(zip(*positive))
-        v, u, gap, settled = _python_prices(entries, held, caps)
-        if not settled:
-            return False
-        delta = gap + 2 * slack
-        near = [(r, c) for r, c, w in entries if u[r] + v[c] - w <= delta]
-    starts = [(r, c) for r, c in near if c < held.get(r, math.inf)]
-    if not starts:
-        return True
+            return None
+        near = zip(*(index.tolist() for index in np.nonzero(tight)))
+        return near, u.tolist(), v.tolist(), float(delta)
+    entries = list(zip(*positive))
+    v, u, gap = _python_prices(entries, held, caps)
+    delta = gap + 2 * slack
+    near = [(r, c) for r, c, w in entries if u[r] + v[c] - w <= delta]
+    if all(c >= held.get(r, math.inf) for r, c in near):
+        return None
+    return near, u, v, delta
+
+
+def _tie_break(
+    clamped: np.ndarray, held: dict[int, int], weight: dict[int, float],
+    tight, caps: list[int], total: float,
+) -> None:
+    """Turn `held`, an optimal matching of `clamped` of weight `total`
+    whose rows weigh `weight`, into the lexicographically smallest one,
+    in place, given `tight`, the near-tight entries, prices and slack of
+    `_near_tight`: every matching that weighs `total` uses only those
+    entries.
+
+    Rows are taken in index order, each fixed once taken. Row r moves to
+    its smallest near-tight column c below its own (any, if unmatched)
+    from which an alternating path of later rows reaches the target:
+    r's own column, or the absorbing node Z where r is unmatched. A path
+    leaves column x for c2 where a later holder of x has a near-tight
+    entry in c2 and moves there; x reaches Z where it has room or a
+    later holder of x may go unmatched (u <= delta); Z reaches column y
+    where v_y <= delta or a later unmatched row has a near-tight entry
+    in y and moves in. A path is applied only when the math.fsum of the
+    whole new matching equals `total`; on a reject the search goes on
+    with the next edge into the target, such as the next holder that
+    may go unmatched. Columns from which a row's search found no path
+    stay dead for its later candidates.
+    """
+    near, u, v, delta = tight
     graph: dict[int, list[int]] = {}
     for r, c in near:
         graph.setdefault(r, []).append(c)
     holders: dict[int, list[int]] = {}
     for r, c in held.items():
         holders.setdefault(c, []).append(r)
-    for r, c in starts:
-        own, stack, seen = held.get(r), [c], set()
+    Z = -1
+
+    def search(r, start, target, dead):
+        # via[y]: the moves, (row, column or None) or None for no move,
+        # by which the search reached y.
+        via = {start: ((r, start),)}
+        stack = [start]
         while stack:
-            c = stack.pop()
-            full = holders.get(c, [])
-            later = [r2 for r2 in full if r2 > r]
-            if c == own or len(full) < caps[c] or any(u[r2] <= delta for r2 in later):
-                return False
-            seen.add(c)
-            stack += [c2 for r2 in later for c2 in graph.get(r2, []) if c2 not in seen]
-    return True
+            x = stack.pop()
+            if x == Z:
+                joins = [r3 for r3 in graph if r3 > r and r3 not in held]
+                out = [(y, None) for y, price in enumerate(v) if price <= delta]
+                out += [(y, (r3, y)) for r3 in joins for y in graph[r3]]
+            else:
+                full = holders.get(x, [])
+                later = full[bisect.bisect_right(full, r):]
+                out = [(c2, (r2, c2)) for r2 in later for c2 in graph[r2] if c2 != x]
+                if len(full) < caps[x]:
+                    out.append((Z, None))
+                out += [(Z, (r2, None)) for r2 in later if u[r2] <= delta]
+            for y, move in out:
+                if y == target:
+                    moves = [m for m in via[x] + (move,) if m is not None]
+                    trial = dict(weight)
+                    for row, col in moves:
+                        trial.pop(row, None)
+                        if col is not None:
+                            trial[row] = float(clamped[row, col])
+                    if math.fsum(trial.values()) == total:
+                        return moves, trial
+                elif y not in via and y not in dead:
+                    via[y] = via[x] + (move,)
+                    stack.append(y)
+        dead.update(via)
+        return None
+
+    for r, row in graph.items():
+        own = held.get(r)
+        if own is not None and row[0] >= own:
+            continue
+        dead: set[int] = set()
+        for start in row:
+            if own is not None and start >= own:
+                break
+            full = holders.get(start, [])
+            # A full column of earlier rows has no way out.
+            if start in dead or len(full) >= caps[start] and full[-1] < r:
+                continue
+            found = search(r, start, Z if own is None else own, dead)
+            if found is not None:
+                moves, weight = found
+                for moved, col in moves:
+                    old = held.pop(moved, None)
+                    if old is not None:
+                        holders[old].remove(moved)
+                    if col is not None:
+                        held[moved] = col
+                        bisect.insort(holders.setdefault(col, []), moved)
+                break
 
 
 def _star_forest(
@@ -379,16 +326,15 @@ def _star_matching(
 
     `weights` are the entries in row-major order, of any sign, and
     `stars` their grouping by `_star_forest`. Each component of the
-    positive entries is then one row or one column, and its incumbent
-    (`_Component.completion`) takes each star's top m positive entries
-    by (weight descending, index ascending). The row loop leaves that
-    only for a trial whose rounded total ties: a row's smaller column,
-    of lower weight, or a column's row outside the top m that comes
-    before a top row, in place of the weakest top row after it. Each
-    trial falls short of the total by that difference in weight. Where
-    one is within the loop's slack, far above the rounding of a
-    correctly rounded sum, the answer is None and the caller runs the
-    matcher.
+    positive entries is then one row or one column, and its optimum
+    takes each star's top m positive entries by (weight descending,
+    index ascending). A lexicographically smaller matching can only tie
+    its rounded total by an exchange: a row's smaller column, of lower
+    weight, or a column's row outside the top m that comes before a top
+    row, in place of the weakest top row after it. Each exchange falls
+    short of the total by that difference in weight. Where one is within
+    the matcher's slack, far above the rounding of a correctly rounded
+    sum, the answer is None and the caller solves the problem.
     """
     matched = [w > 0.0 for w in weights]
     if not stars:
@@ -439,110 +385,46 @@ def _assign(
     order, column c taking up to mults[c] rows; `stars` is their
     `_star_forest`, or None where an entry shares its row and column.
 
-    Only positive weights can be matched, so the problem splits into the
-    connected components of its positive-weight bipartite graph, and the
-    answer comes by one of three paths.
+    The answer comes by one of two paths.
 
-    1. Stars. When no component has 2 rows and 2 columns, every
-       component is a star around one row or one column, and
-       `_star_matching` gives the answer in closed form unless a trial
-       could tie. With no star at all the positive entries already form
-       a matching, the only optimum.
-    2. Certificate. Otherwise a first solve on the whole clamped,
-       column-replicated matrix fixes the optimal total and an incumbent
-       matching. It is returned at once if `_certify` proves it the
-       lexicographically smallest optimum: under its dual prices no row
-       has a near-tight alternating path to a smaller column.
-    3. Row loop. Else rows are committed in index order: a row keeps the
-       smallest column that still completes to the optimal total,
-       verified by re-solving the remaining rows of its own component
-       only; the incumbent's column is committed without a solve when
-       no smaller one works. Components of a single row or a single
-       column need no solve (`_Component.completion`). Trials that LP
-       duality rules out are skipped (`_Component.viable`): the loop
-       prices a component when it first needs the prices, and again
-       after a trial has replaced its incumbent.
+    1. Stars. When no component of the positive entries has 2 rows and
+       2 columns, each is a star around one row or one column, and
+       `_star_matching` answers in closed form unless two of its
+       matchings come within the slack, 1e-9 of the total. With no star
+       at all the positive entries already form the only optimum.
+    2. One solve. Otherwise one solve of the whole clamped,
+       column-replicated matrix fixes the optimal total and a first
+       matching, and one set of its dual prices the entries within the
+       slack of tight (`_near_tight`). Where no row has a near-tight
+       smaller column that a later row could free, the first solve is
+       the answer; else `_tie_break` moves rows, in index order, to
+       their smallest columns along alternating paths of those entries.
 
-    Totals are compared as correctly-rounded sums (math.fsum) over the
-    whole matching, so the equality test is exact for any weight
-    multiset. Two parts stay global because float near-ties can differ
-    by less than one unit in the last place of the total. A trial's
-    total sums the committed weights, the other components' incumbent
-    weights, the candidate and the component's re-solved tail, and is
-    compared with the first solve's total; comparing per-component
-    totals instead accepts different near-ties. And the first solve
-    runs on the whole matrix: a solve of a component alone can come
-    back one unit in the last place short and so change which matching
-    ties.
+    Totals are correctly rounded sums (math.fsum) of the whole matching,
+    and an exchange is kept only where its sum equals the first solve's
+    total: on integer weights every tie is exact, and on float weights
+    that differ in their last bits the rounded total decides. The solve
+    runs on the whole matrix, as a solve of part of it can come back one
+    unit in the last place short and so change which matching ties.
     """
     # A column never takes more rows than there are, so capping its
-    # multiplicity there is exact; the row loop decrements this copy.
+    # multiplicity there is exact; the caller's list is never changed.
     R = clamped.shape[0]
     caps = list(mults) if max(mults, default=R) <= R else [min(m, R) for m in mults]
-    incumbent = None
-    if stars is None:
-        rr, cc, picked = _solve(clamped, caps)
-        first, total = (rr.tolist(), cc.tolist()), math.fsum(picked.tolist())
-        if _certify(clamped, (rows, cols, values), first, caps, total):
-            return list(zip(*first)), total
-        incumbent = dict(zip(*first))
-    else:
+    if stars is not None:
         matched = _star_matching(values, stars)
         if matched is not None:
             matching = [(r, c) for r, c, m in zip(rows, cols, matched) if m]
             return matching, math.fsum(w for w, m in zip(values, matched) if m)
-
-    edges: dict[int, dict[int, float]] = {}
-    for r, c, w in zip(rows, cols, values):
-        edges.setdefault(r, {})[c] = w
-    components = _components(edges, clamped)
-    position = {r: (comp, i) for comp in components for i, r in enumerate(comp.rows)}
-    if incumbent is None:
-        incumbent = {}
-        for comp in components:
-            incumbent.update(comp.completion(0, caps)[1])
-    best_total = math.fsum(edges[r][c] for r, c in incumbent.items())
-    # Margin of the dual skip test: far above the rounding error of the
-    # solver and of the prices, far below any weight gap it must catch.
-    slack = 1e-9 * best_total
-
-    matching: Matching = []
-    fixed_w: list[float] = []
-    for r, row in edges.items():
-        comp, i = position[r]
-        kept = incumbent.pop(r, None)
-        options = [c for c in row if caps[c] > 0 and (kept is None or c < kept)]
-        if options and comp.solves:
-            if comp.col_prices is None:
-                comp.price(i, kept, incumbent, caps)
-            options = comp.viable(r, row, options, slack)
-        chosen = None
-        if options:
-            others = fixed_w + [
-                edges[r2][c2]
-                for r2, c2 in incumbent.items()
-                if position[r2][0] is not comp
-            ]
-            for c in options:
-                caps[c] -= 1
-                tail_w, tail_map = comp.completion(i + 1, caps)
-                if math.fsum(others + [row[c]] + tail_w) == best_total:
-                    chosen = c
-                    for r2 in comp.rows[i + 1 :]:
-                        incumbent.pop(r2, None)
-                    incumbent.update(tail_map)
-                    break
-                caps[c] += 1
-        if chosen is None and kept is not None:
-            # No smaller column works; the incumbent's choice is lex-minimal.
-            chosen = kept
-            caps[chosen] -= 1
-        comp.commit(r, chosen, kept)
-        if chosen is not None:
-            matching.append((r, chosen))
-            fixed_w.append(row[chosen])
-
-    return matching, math.fsum(fixed_w)
+    rr, cc, picked = _solve(clamped, caps)
+    matched_rows, picked = rr.tolist(), picked.tolist()
+    held = dict(zip(matched_rows, cc.tolist()))
+    total = math.fsum(picked)
+    tight = _near_tight(clamped, (rows, cols, values), held, caps, total)
+    if tight is None:
+        return list(held.items()), total
+    _tie_break(clamped, held, dict(zip(matched_rows, picked)), tight, caps, total)
+    return sorted(held.items()), total
 
 
 def brute_force_assignment(p: AssignmentProblem) -> tuple[Matching, float]:

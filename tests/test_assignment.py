@@ -203,10 +203,9 @@ def shifted(result, rows, cols):
 
 
 class TestNearTies:
-    """Transmission matchings from desk DMRC runs whose optimum ties with
-    another matching up to the last bits of the total. The expected
-    results are the whole-problem matcher's, which the component split
-    must reproduce bit for bit."""
+    """Matchings from DMRC runs whose optimum ties with another matching
+    up to the last bits of the total, or exactly. The rounded total of
+    the whole matching decides which tie counts."""
 
     # Desk DMRC seed 0, matcher call 6394 (from 0): a solve of the
     # component alone comes back one unit in the last place short of the
@@ -265,6 +264,109 @@ class TestNearTies:
         got = shifted(solve(w, (2, 2)), rows, [0, 1])
         assert got == ([(0, 0), (2, 1), (3, 0), (4, 1)], 399999.99999999994)
         assert got != solve_sparse((12, 2), self.WHOLE_MATRIX, (2, 2))
+
+    # Constellation DMRC seed 0, transmission call 17 (from 0): 60
+    # satellites by 6 destinations of 4 transceivers, each row its
+    # backlog times capacities {0, 200, 400}, given as the row's smallest
+    # positive weight and each column's multiple of it.
+    BACKLOG_ROWS = {
+        1: (13333.333333333325, "022111"),
+        2: (40000.0, "010102"),
+        3: (20000.0, "000012"),
+        5: (80000.0, "022012"),
+        6: (66666.66666666666, "201200"),
+        8: (80000.0, "022101"),
+        11: (66666.66666666666, "002110"),
+        12: (106666.66666666666, "202110"),
+        13: (120000.0, "100010"),
+        15: (50000.0, "010112"),
+        16: (80000.0, "011200"),
+        19: (13333.333333333325, "210001"),
+        20: (26666.66666666665, "112210"),
+        22: (50000.0, "012220"),
+        27: (26666.66666666665, "211102"),
+        28: (26666.66666666665, "121021"),
+        30: (40000.0, "011220"),
+        31: (26666.66666666665, "001210"),
+        34: (106666.66666666666, "111002"),
+        35: (20000.0, "010111"),
+        36: (26666.66666666665, "201111"),
+        37: (133333.3333333333, "211111"),
+        38: (60000.0, "221100"),
+        39: (26666.666666666664, "021100"),
+        42: (26666.66666666665, "021222"),
+        44: (20000.0, "000001"),
+        45: (80000.0, "111100"),
+        47: (26666.666666666664, "202121"),
+        48: (50000.0, "100201"),
+        49: (26666.66666666665, "111002"),
+        51: (26666.66666666665, "201212"),
+        52: (26666.666666666664, "000102"),
+        53: (160000.0, "001000"),
+        55: (106666.66666666666, "110012"),
+        56: (53333.33333333333, "102010"),
+        57: (80000.0, "121201"),
+        59: (100000.0, "011022"),
+    }
+
+    def test_exact_tie_goes_to_the_smaller_matching(self, monkeypatch):
+        # Rows 20 and 22 tie exactly in columns 2 and 3 (53333.3333333333
+        # and 100000.0), so swapping them keeps the rounded total,
+        # 3220000.0, and (20, 2), (22, 3) is the smaller matching. The
+        # whole-problem matcher gives (20, 3), (22, 2): its re-solve of
+        # the rows after 20, with row 20 on column 2, comes back at
+        # 3219999.9999999995, a lighter near-tie, so it rejects column 2.
+        w = np.zeros((60, 6))
+        for r, (unit, digits) in self.BACKLOG_ROWS.items():
+            w[r] = [unit * int(d) for d in digits]
+        solves = counting_solves(monkeypatch)
+        got = solve(w, (4,) * 6)
+        assert len(solves) == 1
+        assert got[1] == 3220000.0
+        assert (20, 2) in got[0] and (22, 3) in got[0]
+        monkeypatch.undo()
+        reference = whole_problem_matching(w, (4,) * 6)
+        assert reference[1] == 3220000.0
+        swapped = {(20, 2): (20, 3), (22, 3): (22, 2)}
+        assert reference[0] == [swapped.get(pair, pair) for pair in got[0]]
+
+    # Desk DMRC seed 0: the first solve holds rows 10 and 11 in column 0.
+    # Row 2 can join column 1 only if row 4 moves on to column 0, which
+    # then drops one of them; the rounded total keeps row 10.
+    DROP_CHOICE = {
+        (1, 0): 106666.66666666666,
+        (1, 1): 213333.3333333333,
+        (2, 1): 53333.3333333333,
+        (4, 0): 160000.0,
+        (4, 1): 160000.0,
+        (10, 0): 53333.33333333333,
+        (10, 1): 53333.33333333333,
+        (11, 0): 53333.3333333333,
+        (11, 1): 26666.66666666665,
+    }
+
+    def test_drop_that_keeps_the_total_is_chosen(self):
+        got = solve_sparse((12, 2), self.DROP_CHOICE, (2, 2))
+        assert got == ([(1, 1), (2, 1), (4, 0), (10, 0)], 479999.99999999994)
+        kept_11 = [(1, 1), (2, 1), (4, 0), (11, 0)]
+        assert math.fsum(self.DROP_CHOICE[pair] for pair in kept_11) != got[1]
+
+    # Desk DMRC seed 0: a cycle of the first solve's matching gains a
+    # rounding error, so the dual prices rise on every pass and never
+    # settle; they are used as they are after one pass per column.
+    UNSETTLED = {
+        (3, 1): 13333.333333333325,
+        (4, 0): 26666.66666666665,
+        (4, 1): 53333.3333333333,
+        (5, 1): 80000.0,
+        (6, 0): 26666.666666666664,
+        (6, 1): 53333.33333333333,
+        (8, 0): 40000.0,
+    }
+
+    def test_prices_that_do_not_settle(self):
+        got = solve_sparse((12, 2), self.UNSETTLED, (2, 2))
+        assert got == ([(4, 0), (5, 1), (6, 1), (8, 0)], 199999.99999999997)
 
 
 def shuffled_blocks(rng, blocks):
@@ -331,7 +433,11 @@ class TestComponentsAgainstOracle:
 def whole_problem_matching(weights, mults):
     """Reference for instances beyond the oracle's cap: the plain
     lexicographic matcher, which re-solves all remaining rows for every
-    candidate column and judges ties on fsum totals."""
+    candidate column and judges ties on fsum totals. Where float weights
+    tie exactly, the re-solve of the rows after a candidate can return a
+    tail that rounds one unit in the last place short, so scipy's
+    rounding decides the near-tie, as in
+    TestNearTies.test_exact_tie_goes_to_the_smaller_matching."""
     R, C = weights.shape
     caps = list(mults)
 
@@ -404,6 +510,43 @@ def counting_star_rule(monkeypatch):
     return results
 
 
+def counting_solves(monkeypatch):
+    """Record the shape of each matrix the matcher hands to the solver."""
+    import eosched.assignment as assignment
+
+    shapes = []
+
+    def counted(*args, **kwargs):
+        shapes.append(args[0].shape)
+        return linear_sum_assignment(*args, **kwargs)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", counted)
+    return shapes
+
+
+def solve_and_count(w, mults):
+    """`solve`, with the number of solves it made, which must be 0 where
+    the star rule answered and 1 on every other call."""
+    import eosched.assignment as assignment
+
+    answers, solves, real_star = [], [], assignment._star_matching
+
+    def star_rule(*args):
+        answers.append(real_star(*args))
+        return answers[-1]
+
+    def solver(*args, **kwargs):
+        solves.append(args[0].shape)
+        return linear_sum_assignment(*args, **kwargs)
+
+    with mock.patch.object(assignment, "_star_matching", star_rule), \
+            mock.patch.object(assignment, "linear_sum_assignment", solver):
+        got = solve(w, mults)
+    by_stars = bool(answers) and answers[0] is not None
+    assert len(solves) == (0 if by_stars else 1)
+    return got
+
+
 class TestAgainstWholeProblemMatcher:
     @pytest.mark.parametrize("seed", range(40))
     def test_transmission_like(self, seed):
@@ -453,8 +596,8 @@ class TestAgainstWholeProblemMatcher:
         assert len(results) == 1
 
     def test_exact_ties_in_a_star_are_decided_in_closed_form(self, monkeypatch):
-        # Equal weights go to the smaller index, as the row loop's
-        # lexicographic rule has it, so no trial is left that could tie.
+        # Equal weights go to the smaller index, as the lexicographic
+        # rule has it, so no exchange is left that could tie.
         w = np.zeros((4, 3))
         w[0, :2] = w[1:, 2] = 2.0
         results = counting_star_rule(monkeypatch)
@@ -468,7 +611,7 @@ class TestAgainstWholeProblemMatcher:
         # The star's two weights differ in their last bits. Its closed
         # form takes the larger, the second; the rounded totals of the
         # whole matching tie, so the lexicographic answer is the first.
-        # The rule leaves it to the row loop.
+        # The rule leaves it to the solve and its tie-break.
         w = np.zeros((3, 3))
         w[star[0]], w[star[1]] = NEAR_TIES[0], NEAR_TIES[1]
         w[2, 2] = 160000.0
@@ -480,26 +623,10 @@ class TestAgainstWholeProblemMatcher:
 
 
 class TestCertificate:
-    """The first solve is returned as it is when, under its dual prices,
-    no row has a near-tight alternating path to a smaller column."""
-
-    def counting(self, monkeypatch):
-        import eosched.assignment as assignment
-
-        counts = {"solves": 0, "components": 0}
-
-        def solver(*args, **kwargs):
-            counts["solves"] += 1
-            return linear_sum_assignment(*args, **kwargs)
-
-        def components(*args, **kwargs):
-            counts["components"] += 1
-            return real_components(*args, **kwargs)
-
-        real_components = assignment._components
-        monkeypatch.setattr(assignment, "linear_sum_assignment", solver)
-        monkeypatch.setattr(assignment, "_components", components)
-        return counts
+    """Every call that the star rule leaves makes exactly one solve. The
+    first solve is returned as it is when, under its dual prices, no row
+    has a near-tight alternating path to a smaller column; otherwise the
+    tie-break moves rows along such paths, with no second solve."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lexmin_first_solve_returns_after_one_solve(self, monkeypatch, seed):
@@ -507,63 +634,48 @@ class TestCertificate:
         # transceivers, as Fixed-CR's transmission matching weighs them.
         rng = np.random.default_rng(9000 + seed)
         w = rng.choice([0.0, 200.0, 400.0], size=(60, 6))
-        counts = self.counting(monkeypatch)
+        solves = counting_solves(monkeypatch)
         got = solve(w, (4,) * 6)
-        assert counts == {"solves": 1, "components": 0}
+        assert len(solves) == 1
         assert got == whole_problem_matching(w, (4,) * 6)
 
-    def test_near_tie_in_a_smaller_column_keeps_the_row_loop(self, monkeypatch):
+    def test_near_tie_in_a_smaller_column_moves_the_row(self, monkeypatch):
         # Row 0 alone sees columns 0 and 1, whose weights differ by less
-        # than the slack: the first solve gives it the larger, column 1,
-        # and its trial of column 0 stays open. In the rounded total of
-        # the whole matching the two tie, so column 0 is the answer.
+        # than the slack: the first solve gives it the larger, column 1.
+        # In the rounded total of the whole matching the two tie, so
+        # column 0 is the answer, found without a second solve.
         rng = np.random.default_rng(9100)
         w = np.zeros((31, 6))
         w[0, 0], w[0, 1] = NEAR_TIES[0], NEAR_TIES[1]
         w[1:, 2:] = rng.choice(NEAR_TIES, size=(30, 4))
         mults = (1, 1, 8, 8, 8, 8)
-        counts = self.counting(monkeypatch)
+        solves = counting_solves(monkeypatch)
         got = solve(w, mults)
-        assert counts["components"] == 1
+        assert len(solves) == 1
         assert got[0][0] == (0, 0)
         assert got == whole_problem_matching(w, mults)
 
-    def test_stars_beside_a_block_priced_by_the_row_loop(self, monkeypatch):
+    def test_stars_beside_a_block_take_one_solve(self, monkeypatch):
         # A 2x2 block whose two matchings tie up to the last bits, next
         # to four column stars of 25 rows and one row star: 107 positive
-        # entries. The certificate cannot rule out the block's near-tie,
-        # so the row loop prices the block from scratch, in Python.
-        import eosched.assignment as assignment
-
+        # entries, which numpy prices. The prices cannot rule out the
+        # block's near-tie, so the tie-break decides it.
         rng = np.random.default_rng(9200)
         w = np.zeros((103, 9))
         w[:2, :2] = [[NEAR_TIES[0], NEAR_TIES[1]], [NEAR_TIES[1], NEAR_TIES[0]]]
         w[np.arange(2, 102), 2 + np.arange(100) % 4] = rng.choice(NEAR_TIES, 100)
         w[102, 6:] = rng.choice(NEAR_TIES, 3)
         mults = (1, 1, 3, 3, 3, 3, 1, 1, 1)
-        certified, priced = [], []
-        real_certify, real_price = assignment._certify, assignment._Component.price
-
-        def certify(*args):
-            certified.append(real_certify(*args))
-            return certified[-1]
-
-        def price(comp, *args):
-            priced.append((comp.rows, comp.cols))
-            return real_price(comp, *args)
-
-        monkeypatch.setattr(assignment, "_certify", certify)
-        monkeypatch.setattr(assignment._Component, "price", price)
+        solves = counting_solves(monkeypatch)
         got = solve(w, mults)
-        assert certified == [False]
-        assert priced and all(pair == ([0, 1], [0, 1]) for pair in priced)
+        assert len(solves) == 1
         assert got == whole_problem_matching(w, mults)
 
     def test_core_leaves_the_callers_multiplicities_unchanged(self, monkeypatch):
-        # The near-tie of test_near_tie_in_a_smaller_column_keeps_the_row_loop
-        # takes the row loop, which decrements column capacities in place.
-        # The core works on a copy, so one list of multiplicities can serve
-        # call after call, as in the dual loop.
+        # The near-tie of test_near_tie_in_a_smaller_column_moves_the_row,
+        # where the tie-break moves row 0 off the first solve's column 1.
+        # One list of multiplicities can serve call after call, as in the
+        # dual loop.
         import eosched.assignment as assignment
 
         rng = np.random.default_rng(9100)
@@ -571,40 +683,36 @@ class TestCertificate:
         w[0, 0], w[0, 1] = NEAR_TIES[0], NEAR_TIES[1]
         w[1:, 2:] = rng.choice(NEAR_TIES, size=(30, 4))
         mults = [1, 1, 8, 8, 8, 8]
-        certified = []
-        real_certify = assignment._certify
-
-        def certify(*args):
-            certified.append(real_certify(*args))
-            return certified[-1]
-
-        monkeypatch.setattr(assignment, "_certify", certify)
+        rr, cc, _ = assignment._solve(w, mults)
+        assert (rr[0], cc[0]) == (0, 1)
         want = solve(w, tuple(mults))
+        assert want[0][0] == (0, 0)
         rows, cols = np.nonzero(w > 0.0)
         entries = rows.tolist(), cols.tolist(), w[rows, cols].tolist()
+        solves = counting_solves(monkeypatch)
         assert assignment._assign(w, mults, *entries, None) == want
         assert assignment._assign(w, mults, *entries, None) == want
         assert mults == [1, 1, 8, 8, 8, 8]
-        assert certified == [False] * 3
+        assert len(solves) == 2
 
     def test_near_tight_smaller_column_without_a_path(self, monkeypatch):
         # Row 0 ties between columns 0 and 1, but column 0 holds row 1,
         # which has nowhere else to go: one solve decides.
         w = [[5.0, 5.0], [5.0, 0.0]]
-        counts = self.counting(monkeypatch)
+        solves = counting_solves(monkeypatch)
         got = solve(w)
-        assert counts == {"solves": 1, "components": 0}
+        assert len(solves) == 1
         assert got == oracle(w) == ([(0, 1), (1, 0)], 10.0)
 
-    def test_path_through_a_later_row_takes_the_row_loop(self, monkeypatch):
+    def test_path_through_a_later_row_moves_it(self, monkeypatch):
         # Row 0 can take column 0 if row 1 moves on to column 2, a
-        # matching within the slack of the optimum: the row loop decides,
-        # and the two totals differ in their last bits.
+        # matching within the slack of the optimum: the rounded totals of
+        # the two differ in their last bits and decide.
         a, b = NEAR_TIES[0], NEAR_TIES[1]
         w = np.array([[a, b, 0.0], [b, 0.0, a]])
-        counts = self.counting(monkeypatch)
+        solves = counting_solves(monkeypatch)
         got = solve(w)
-        assert counts["components"] == 1
+        assert len(solves) == 1
         assert got == whole_problem_matching(w, (1, 1, 1)) == oracle(w)
 
     def test_path_through_an_earlier_row_does_not_count(self, monkeypatch):
@@ -612,83 +720,80 @@ class TestCertificate:
         # but row 0 comes first and keeps its column.
         a, b = NEAR_TIES[0], NEAR_TIES[1]
         w = [[b, 0.0, a], [b, b, 0.0]]
-        counts = self.counting(monkeypatch)
+        solves = counting_solves(monkeypatch)
         got = solve(w)
-        assert counts == {"solves": 1, "components": 0}
+        assert len(solves) == 1
         assert got == oracle(w) == ([(0, 0), (1, 1)], 2 * b)
 
     @pytest.fixture(params=["python", "numpy"])
-    def certify(self, request, monkeypatch):
-        """`_certify` on a given incumbent, with prices from either routine."""
+    def tie_break(self, request, monkeypatch):
+        """The tie-break on a given incumbent, with prices from either
+        routine: the near-tight entries, or None where the prices rule
+        out every row, and the matching it leaves."""
         import eosched.assignment as assignment
 
         if request.param == "numpy":
             monkeypatch.setattr(assignment, "_VECTORIZE_FROM", 0)
 
-        def certify(weights, incumbent, mults=None):
-            w = np.asarray(weights, dtype=float)
+        def tie_break(weights, incumbent, mults=None):
+            w = np.maximum(np.asarray(weights, dtype=float), 0.0)
             er, ec = np.nonzero(w > 0.0)
-            rows = sorted(incumbent)
-            cols = [incumbent[r] for r in rows]
-            return assignment._certify(
-                np.maximum(w, 0.0),
-                (er.tolist(), ec.tolist(), w[er, ec].tolist()),
-                (rows, cols),
-                list(mults or (1,) * w.shape[1]),
-                math.fsum(w[r, c] for r, c in zip(rows, cols)),
-            )
+            held = dict(sorted(incumbent.items()))
+            caps = list(mults or (1,) * w.shape[1])
+            total = math.fsum(w[r, c] for r, c in held.items())
+            positive = er.tolist(), ec.tolist(), w[er, ec].tolist()
+            found = assignment._near_tight(w, positive, held, caps, total)
+            if found is None:
+                return None, held
+            near = list(found[0])
+            weight = {r: float(w[r, c]) for r, c in held.items()}
+            tight = (near, *found[1:])
+            assignment._tie_break(w, held, weight, tight, caps, total)
+            return near, held
 
-        return certify
+        return tie_break
 
-    def test_row_that_can_go_unmatched_ends_a_path(self, certify):
+    def test_row_that_can_go_unmatched_ends_a_path(self, tie_break):
         # Both matchings weigh 2. Row 0 takes column 0 if row 1, whose
         # price is 0 as row 2 bids the same for column 0, goes unmatched.
         w = [[2.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
-        assert not certify(w, {0: 1, 1: 0})
-        assert certify(w, {0: 0})
+        assert tie_break(w, {0: 1, 1: 0})[1] == {0: 0}
+        assert tie_break(w, {0: 0})[1] == {0: 0}
         assert solve(w) == oracle(w) == ([(0, 0)], 2.0)
 
-    def test_gap_of_a_lighter_incumbent_widens_the_search(self, certify):
+    def test_gap_of_a_lighter_incumbent_widens_the_search(self, tie_break):
         # The incumbent leaves row 1 out and weighs 2; the matching that
         # gives row 0 the smaller column weighs 4, through an entry whose
-        # reduced cost only the gap of 3 admits.
-        assert not certify([[1.0, 2.0], [0.0, 3.0]], {0: 1})
+        # reduced cost only the gap of 3 admits. It is near-tight, but
+        # an exchange is kept only at the incumbent's total.
+        near, held = tie_break([[1.0, 2.0], [0.0, 3.0]], {0: 1})
+        assert (0, 0) in near and (1, 1) in near
+        assert held == {0: 1}
 
-    def test_prices_that_do_not_settle_prove_nothing(self, certify):
-        # Swapping the two rows gains 4, so the prices rise on every pass;
-        # no smaller matching exists, but only settled prices certify.
-        assert not certify([[1.0, 3.0], [3.0, 1.0]], {0: 0, 1: 1})
+    def test_prices_that_do_not_settle_prove_nothing(self, tie_break):
+        # Swapping the two rows gains 4, so the prices rise on every
+        # pass. They are still feasible, only loose: every entry stays
+        # near-tight. Row 1's smaller column 0 is full with row 0, which
+        # numpy's room test sees at once, and the search finds no way.
+        near, held = tie_break([[1.0, 3.0], [3.0, 1.0]], {0: 0, 1: 1})
+        assert near in (None, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        assert held == {0: 0, 1: 1}
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_same_answer_as_the_row_loop(self, data):
-        import eosched.assignment as assignment
-
+    def test_same_answer_as_the_whole_problem_matcher(self, data):
         R, C = data.draw(st.integers(2, 10)), data.draw(st.integers(2, 8))
-        values = data.draw(
-            st.sampled_from([[1.0, 2.0, 3.0, 4.0, 5.0], NEAR_TIES]), label="values"
-        )
-        cell = st.sampled_from(values) | st.just(0.0) | st.just(0.0)
+        cell = st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0]) | st.just(0.0) | st.just(0.0)
         w = np.array([[data.draw(cell) for _ in range(C)] for _ in range(R)])
         mults = tuple(data.draw(st.integers(1, 3)) for _ in range(C))
-        got = solve(w, mults)
-        with mock.patch.object(assignment, "_certify", return_value=False):
-            assert got == solve(w, mults)
+        assert solve_and_count(w, mults) == whole_problem_matching(w, mults)
 
 
 def test_trials_on_pairs_off_the_dual_optimum_need_no_solve(monkeypatch):
     # The optimum is unique and every other pair has a positive reduced
-    # cost, so the first solve is the only one; without the dual test,
-    # row 0 would re-solve rows 1 and 2 for its smaller column 0.
-    import eosched.assignment as assignment
-
-    solves = []
-
-    def counted(*args, **kwargs):
-        solves.append(args[0].shape)
-        return linear_sum_assignment(*args, **kwargs)
-
-    monkeypatch.setattr(assignment, "linear_sum_assignment", counted)
+    # cost, so the dual prices rule out row 0's smaller column 0 and the
+    # first solve is returned as it is.
+    solves = counting_solves(monkeypatch)
     w = [[1.0, 9.0, 0.0], [0.0, 1.0, 9.0], [9.0, 0.0, 1.0]]
     assert solve(w) == ([(0, 1), (1, 2), (2, 0)], 27.0)
     assert len(solves) == 1
@@ -758,7 +863,7 @@ class TestEarlyReturn:
     @given(small_instances())
     def test_any_instance_agrees_with_oracle(self, instance):
         w, mults = instance
-        assert solve(w, mults) == oracle(w, mults)
+        assert solve_and_count(w, mults) == oracle(w, mults)
 
     def test_two_positive_entries_in_one_row_are_not_a_matching(self):
         assert solve([[2.0, 3.0], [0.0, 0.0]]) == ([(0, 1)], 3.0)

@@ -104,6 +104,13 @@ class TestProjectRatio:
     def test_free_volume_takes_largest_ratio(self):
         assert project_ratio(1.0, 600.0, RATIOS, 8000.0, 0.0) == 2 / 3
 
+    def test_ties_go_to_the_larger_ratio_and_over_idle(self):
+        # At chi = 0 a pick's value is its term. Equal terms go to the
+        # larger ratio, the later one in the ascending table, and a term
+        # of 0.0 ties with idle and still takes its ratio.
+        assert dmrc._pick_ratio([(0.25, 5.0), (0.5, 5.0)], 0.0, 600.0) == (0.5, 5.0)
+        assert dmrc._pick_ratio([(0.25, 0.0)], 0.0, 600.0) == (0.25, 0.0)
+
     def test_requires_positive_capacity(self):
         with pytest.raises(ParameterError):
             project_ratio(0.0, 0.0, RATIOS, 8000.0, 1.0)
