@@ -4,23 +4,22 @@ Rows are matched at most once; column c may be matched up to
 ``col_multiplicity[c]`` times (a destination with m transceivers is m
 interchangeable vertices). Matching is always optional: pairs with
 nonpositive weight are never matched, since leaving them out is at least
-as good. Among equal-weight optima the solver returns the
-lexicographically smallest matching by (row, col), which keeps every
-caller deterministic.
+as good. Among the optima by correctly rounded total, the solver returns
+the lexicographically smallest by (row, col) that one alternating path
+per row reaches, which keeps every caller deterministic; where sums are
+exact, as of integers, it is the smallest.
 
 `max_weight_assignment` hands a matrix's positive entries to its core,
-`_assign`, which JOSAP's dual loop also calls, and which answers by one
-of two paths. Where every component of the positive entries is a star,
-a closed form does (`_star_matching`). Otherwise one solve of the whole
-problem fixes the optimal total, and its dual prices, from numpy
-(`_dual_prices`) or Python (`_python_prices`), the near-tight entries:
-those of reduced cost within the prices' gap plus twice the slack, 1e-9
-of the total. Every matching that weighs the total uses only those, so
-the tie-break (`_tie_break`) moves rows, in index order, to smaller
-columns along alternating paths of them, keeping an exchange only where
-the correctly rounded sum (math.fsum) of the whole new matching equals
-the first solve's total. Where no row has a near-tight smaller column,
-the first solve is the answer, with no graph built.
+`_assign`, which JOSAP's dual loop also calls. Where every component of
+the positive entries is a star, a closed form (`_star_matching`)
+answers. Otherwise one solve of the whole problem fixes the optimal
+total, and its dual prices, from numpy (`_dual_prices`) or Python
+(`_python_prices`), the near-tight entries: those of reduced cost within
+the prices' gap plus twice the slack, 1e-9 of the total. Every matching
+that weighs the total uses only those, so the tie-break (`_tie_break`)
+moves rows, in index order, to smaller columns along alternating paths
+of them, keeping an exchange only where the fsum of the whole new
+matching equals the first solve's total.
 """
 
 from __future__ import annotations
@@ -80,26 +79,24 @@ def _dual_prices(w: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Column and row prices (v, u) for the clamped weights `w` and a
     matching `held`: each row's column, or w.shape[1] where unmatched.
 
-    Any column prices v >= 0, with row prices u_r = max(0, max_c w[r, c]
-    - v_c), are feasible for the dual of the matching LP, so by weak
-    duality no matching weighs more than sum(u) + sum(caps_c v_c), and
-    each entry of one that weighs the total of `held` has a reduced cost
-    u_r + v_c - w[r, c] of at most that bound's gap. Prices are raised
-    along alternating paths of `held` (longest paths, Bellman-Ford)
-    until every held pair is tight, which closes the gap where `held` is
-    optimal. Where a cycle gains a rounding error, prices do not settle;
-    after one pass per column they are returned as they are, still
-    feasible, and the wider gap only widens the tie-break's search. Zero
-    entries count as pairs of weight 0: where `held` is optimal their
-    constraints are already met, and elsewhere any prices are feasible.
+    Any v >= 0 with u_r = max(0, max_c w[r, c] - v_c) is feasible for the
+    dual of the matching LP, so no matching weighs more than sum(u) +
+    sum(caps_c v_c), and each entry of one that weighs the total of
+    `held` has a reduced cost u_r + v_c - w[r, c] within that bound's
+    gap. Prices rise along alternating paths of `held` (longest paths,
+    Bellman-Ford) until every held pair is tight, closing the gap where
+    `held` is optimal; where a cycle gains a rounding error they do not
+    settle and are returned after one pass per column, still feasible,
+    their wider gap only widening the tie-break's search. Zero entries
+    count as pairs of weight 0, whose constraints an optimal `held`
+    meets, and elsewhere any prices are feasible.
     """
     free = held == w.shape[1]
     # An unmatched row has u_r = 0, so each of its weights bounds v.
     v = w[free].max(axis=0, initial=0.0)
     # A row matched to c keeps u_r = w[r, c] - v_c only if moving it to
     # c2 gains nothing: v_c2 >= v_c - w[r, c] + w[r, c2].
-    cols = held[~free]
-    moves = w[~free]
+    cols, moves = held[~free], w[~free]
     own = moves[np.arange(cols.size), cols]
     for _ in range(w.shape[1]):
         raised = np.maximum(
@@ -118,14 +115,12 @@ def _python_prices(
     weight) triples, where row r holds column held.get(r): column prices
     by index, row prices by row, and the dual objective under capacities
     `caps` minus the weight held."""
-    v = [0.0] * len(caps)
-    u, own = {}, {}
+    v, u, own = [0.0] * len(caps), {}, {}
     for r, c, w in entries:
         u[r] = 0.0
         h = held.get(r)
-        if h is None:
-            if w > v[c]:
-                v[c] = w
+        if h is None and w > v[c]:
+            v[c] = w
         elif h == c:
             own[r] = w
     moves = [(held[r], c, w - own[r]) for r, c, w in entries if c != held.get(r, c)]
@@ -172,8 +167,8 @@ def _near_tight(
     With the prices' gap g = sum(u) + sum(caps v) - total and a slack of
     1e-9 of the total, far above the rounding of the solver and the
     prices, a matching within one slack of `total` uses only entries of
-    reduced cost at most delta = g + 2 slack, leaves a row unmatched only
-    if u_r <= delta and a column short only if v_c <= delta.
+    reduced cost at most delta = g + 2 slack, and leaves a row unmatched
+    or a column short only where its price is at most delta.
     """
     slack = 1e-9 * total
     if len(positive[0]) >= _VECTORIZE_FROM:
@@ -203,45 +198,57 @@ def _tie_break(
     clamped: np.ndarray, held: dict[int, int], weight: dict[int, float],
     tight, caps: list[int], total: float,
 ) -> None:
-    """Turn `held`, an optimal matching of `clamped` of weight `total`
-    whose rows weigh `weight`, into the lexicographically smallest one,
-    in place, given `tight`, the near-tight entries, prices and slack of
-    `_near_tight`: every matching that weighs `total` uses only those
-    entries.
+    """Move the rows of `held`, an optimal matching of `clamped` of weight
+    `total` whose rows weigh `weight`, to smaller columns, in place,
+    given `tight`, the near-tight entries, prices and slack of
+    `_near_tight`: every matching that weighs `total` uses only those.
 
-    Rows are taken in index order, each fixed once taken. Row r moves to
-    its smallest near-tight column c below its own (any, if unmatched)
-    from which an alternating path of later rows reaches the target:
-    r's own column, or the absorbing node Z where r is unmatched. A path
-    leaves column x for c2 where a later holder of x has a near-tight
-    entry in c2 and moves there; x reaches Z where it has room or a
-    later holder of x may go unmatched (u <= delta); Z reaches column y
-    where v_y <= delta or a later unmatched row has a near-tight entry
-    in y and moves in. A path is applied only when the math.fsum of the
-    whole new matching equals `total`; on a reject the search goes on
-    with the next edge into the target, such as the next holder that
-    may go unmatched. Columns from which a row's search found no path
-    stay dead for its later candidates.
+    Rows are taken in index order, each fixed once taken. Row r moves to its
+    smallest near-tight column below its own (any, if unmatched) from which
+    an alternating path of later rows reaches r's own column, or the
+    absorbing node Z where r is unmatched: x leads to c2 where a later
+    holder of x has a near-tight entry in c2; x to Z where it has room or a
+    later holder may go unmatched (u <= delta); Z to y where v_y <= delta or
+    a later unmatched row has a near-tight entry in y. Columns that reach no
+    target stay dead for the row. A path counts only where the math.fsum of
+    the whole new matching is `total`, which its exact change in weight
+    decides. After a reject the search enters each node once per exact
+    change of the paths to it; a path passes each column once, and Z, which
+    takes any number of rows, as often as it needs. Where sums are exact, as
+    on integers, the answer is the lexicographically smallest optimal
+    matching; where they round, the smallest that one path per row reaches.
     """
     near, u, v, delta = tight
     graph: dict[int, list[int]] = {}
+    holders: dict[int, list[int]] = {}
     for r, c in near:
         graph.setdefault(r, []).append(c)
-    holders: dict[int, list[int]] = {}
     for r, c in held.items():
         holders.setdefault(c, []).append(r)
-    Z = -1
+    Z, gains = -1, {}
 
-    def search(r, start, target, dead):
-        # via[y]: the moves, (row, column or None) or None for no move,
-        # by which the search reached y.
-        via = {start: ((r, start),)}
-        stack = [start]
+    def change(move):
+        # A move's exact change in weight, in units of 2**-1074.
+        if move not in gains:
+            row, col = move
+            new = 0.0 if col is None else float(clamped[row, col])
+            n, d = new.as_integer_ratio()
+            n0, d0 = weight.get(row, 0.0).as_integer_ratio()
+            gains[move] = (n << 1075 - d.bit_length()) - (n0 << 1075 - d0.bit_length())
+        return gains[move]
+
+    def search(r, start, target, dead, exact=False):
+        # A route holds (node, move) pairs: the move, (row, column or None)
+        # or None, by which it reached the node.
+        stack = [(((start, (r, start)),), change((r, start)) if exact else 0)]
+        seen, rejected = {(start, stack[0][1])}, False
         while stack:
-            x = stack.pop()
+            route, gain = stack.pop()
+            x = route[-1][0]
             if x == Z:
-                joins = [r3 for r3 in graph if r3 > r and r3 not in held]
                 out = [(y, None) for y, price in enumerate(v) if price <= delta]
+                taken = held.keys() | {m[0] for _, m in route if m}
+                joins = [r3 for r3 in graph if r3 > r and r3 not in taken]
                 out += [(y, (r3, y)) for r3 in joins for y in graph[r3]]
             else:
                 full = holders.get(x, [])
@@ -252,25 +259,26 @@ def _tie_break(
                 out += [(Z, (r2, None)) for r2 in later if u[r2] <= delta]
             for y, move in out:
                 if y == target:
-                    moves = [m for m in via[x] + (move,) if m is not None]
+                    moves = [m for _, m in route + ((y, move),) if m is not None]
                     trial = dict(weight)
                     for row, col in moves:
-                        trial.pop(row, None)
-                        if col is not None:
-                            trial[row] = float(clamped[row, col])
+                        trial[row] = 0.0 if col is None else float(clamped[row, col])
                     if math.fsum(trial.values()) == total:
                         return moves, trial
-                elif y not in via and y not in dead:
-                    via[y] = via[x] + (move,)
-                    stack.append(y)
-        dead.update(via)
+                    rejected = True
+                    if y != Z:
+                        continue
+                if y not in dead:
+                    key = (y, gain + change(move) if exact and move else gain)
+                    if key not in seen and (y == Z or all(n != y for n, _ in route)):
+                        seen.add(key)
+                        stack.append((route + ((y, move),), key[1]))
+        if not rejected:
+            dead.update(y for y, _ in seen)
         return None
 
     for r, row in graph.items():
-        own = held.get(r)
-        if own is not None and row[0] >= own:
-            continue
-        dead: set[int] = set()
+        own, dead = held.get(r), set()
         for start in row:
             if own is not None and start >= own:
                 break
@@ -279,8 +287,11 @@ def _tie_break(
             if start in dead or len(full) >= caps[start] and full[-1] < r:
                 continue
             found = search(r, start, Z if own is None else own, dead)
+            if found is None and start not in dead:  # rejected, not a dead end
+                found = search(r, start, Z if own is None else own, dead, exact=True)
             if found is not None:
                 moves, weight = found
+                gains.clear()
                 for moved, col in moves:
                     old = held.pop(moved, None)
                     if old is not None:
@@ -361,7 +372,7 @@ def _star_matching(
 
 
 def max_weight_assignment(p: AssignmentProblem) -> tuple[Matching, float]:
-    """Lexicographically smallest optimal partial matching of `p`, by `_assign`."""
+    """Optimal partial matching of `p`, by the module's tie rule, from `_assign`."""
     weights = p.weights
     er, ec = np.nonzero(weights > 0.0)
     rows, cols, values = er.tolist(), ec.tolist(), weights[er, ec].tolist()
@@ -385,27 +396,18 @@ def _assign(
     order, column c taking up to mults[c] rows; `stars` is their
     `_star_forest`, or None where an entry shares its row and column.
 
-    The answer comes by one of two paths.
-
-    1. Stars. When no component of the positive entries has 2 rows and
-       2 columns, each is a star around one row or one column, and
-       `_star_matching` answers in closed form unless two of its
-       matchings come within the slack, 1e-9 of the total. With no star
-       at all the positive entries already form the only optimum.
-    2. One solve. Otherwise one solve of the whole clamped,
-       column-replicated matrix fixes the optimal total and a first
-       matching, and one set of its dual prices the entries within the
-       slack of tight (`_near_tight`). Where no row has a near-tight
-       smaller column that a later row could free, the first solve is
-       the answer; else `_tie_break` moves rows, in index order, to
-       their smallest columns along alternating paths of those entries.
-
-    Totals are correctly rounded sums (math.fsum) of the whole matching,
-    and an exchange is kept only where its sum equals the first solve's
-    total: on integer weights every tie is exact, and on float weights
-    that differ in their last bits the rounded total decides. The solve
-    runs on the whole matrix, as a solve of part of it can come back one
-    unit in the last place short and so change which matching ties.
+    One of two paths answers. Where no component of the positive entries
+    has 2 rows and 2 columns, `_star_matching` does in closed form,
+    unless two of its matchings come within the slack, 1e-9 of the
+    total. Otherwise one solve of the whole clamped, column-replicated
+    matrix fixes the optimal total and a first matching, which is the
+    answer unless `_near_tight` finds a row with a near-tight smaller
+    column that a later row could free; then `_tie_break` moves rows
+    along alternating paths of the near-tight entries, keeping an
+    exchange only where the fsum of the whole matching equals the first
+    solve's total. The solve runs on the whole matrix, as a solve of
+    part of it can come back one unit in the last place short and so
+    change which matching ties.
     """
     # A column never takes more rows than there are, so capping its
     # multiplicity there is exact; the caller's list is never changed.
@@ -418,8 +420,7 @@ def _assign(
             return matching, math.fsum(w for w, m in zip(values, matched) if m)
     rr, cc, picked = _solve(clamped, caps)
     matched_rows, picked = rr.tolist(), picked.tolist()
-    held = dict(zip(matched_rows, cc.tolist()))
-    total = math.fsum(picked)
+    held, total = dict(zip(matched_rows, cc.tolist())), math.fsum(picked)
     tight = _near_tight(clamped, (rows, cols, values), held, caps, total)
     if tight is None:
         return list(held.items()), total
