@@ -63,32 +63,81 @@ class SolverParams:
         object.__setattr__(self, "max_iters", max_iters)
 
 
-@dataclass(frozen=True)
-class SlotDecision:
-    """One slot's complete resource allocation.
+def _view(shape, cells, dtype=float) -> np.ndarray:
+    """A read-only dense array of zeros with each ``(index, value)`` cell
+    added; a repeated index adds up, so a repeated pick reads as 2."""
+    dense = np.zeros(shape, dtype=dtype)
+    for index, value in cells:
+        dense[index] += value
+    dense.flags.writeable = False
+    return dense
 
-    observe : (I, K) binary, target i imaged by satellite k.
-    transmit : (K, N) binary, satellite k downlinks to destination n.
-    rho : (I, K) compression ratio for matched pairs, 0 elsewhere.
-    arrivals : (K, I) compressed volume entering each data queue,
-        arrivals[k, i] = rho[i, k] * observe[i, k] * B[i, k].
-    service : (K, N, I) volume scheduled for delivery per flow.
+
+class _PickViews:
+    """Dense read-only views of ``picks``, (target, satellite, ratio,
+    arrival volume) tuples, over the (I, K) of ``shape[:2]``. Each view
+    is built anew on every read."""
+
+    @property
+    def observe(self) -> np.ndarray:
+        """(I, K) binary, target i imaged by satellite k."""
+        return _view(self.shape[:2], (((i, k), 1) for i, k, _, _ in self.picks), int)
+
+    @property
+    def rho(self) -> np.ndarray:
+        """(I, K) compression ratio on the picks, 0 elsewhere."""
+        return _view(self.shape[:2], (((i, k), r) for i, k, r, _ in self.picks))
+
+    @property
+    def arrivals(self) -> np.ndarray:
+        """(K, I) compressed volume entering each data queue."""
+        I, K = self.shape[:2]
+        return _view((K, I), (((k, i), a) for i, k, _, a in self.picks))
+
+
+@dataclass(frozen=True)
+class SlotDecision(_PickViews):
+    """One slot's complete resource allocation, as sparse lists.
+
+    picks : (target i, satellite k, ratio, arrival volume) per observed
+        pair; the arrival volume is ratio * B[i, k].
+    links : (satellite k, destination n, flow, scheduled volume) per
+        transmission link; the flow is None where the link serves no
+        flow, and its volume is then 0.
+    shape : (I, K, N).
+
+    ``observe``, ``rho``, ``arrivals``, ``transmit`` and ``service`` are
+    dense read-only views of the lists, built on every read for callers
+    that need arrays (tests, ``record_history``); the simulator's
+    per-slot work reads only the lists.
     """
 
-    observe: np.ndarray
-    transmit: np.ndarray
-    rho: np.ndarray
-    arrivals: np.ndarray
-    service: np.ndarray
+    picks: list
+    links: list
+    shape: tuple[int, int, int]
+
+    @property
+    def transmit(self) -> np.ndarray:
+        """(K, N) binary, satellite k downlinks to destination n."""
+        return _view(self.shape[1:], (((k, n), 1) for k, n, _, _ in self.links), int)
+
+    @property
+    def service(self) -> np.ndarray:
+        """(K, N, I) volume scheduled for delivery per flow."""
+        I, K, N = self.shape
+        return _view((K, N, I), (
+            ((k, n, f), s) for k, n, f, s in self.links if f is not None
+        ))
 
 
 @dataclass(frozen=True)
-class JosapResult:
-    """Observation schedule with compression choices from the dual loop."""
+class JosapResult(_PickViews):
+    """Observation schedule with compression choices from the dual loop:
+    the best iteration's picks over the (I, K) ``shape``, with the dense
+    views ``observe``, ``rho`` and ``arrivals``."""
 
-    observe: np.ndarray   # (I, K) binary
-    rho: np.ndarray       # (I, K)
-    arrivals: np.ndarray  # (K, I)
+    picks: list
+    shape: tuple[int, int]
     objective: float
     iterations: int
     converged: bool
@@ -96,12 +145,12 @@ class JosapResult:
 
 
 @dataclass(frozen=True)
-class JosapSolution:
-    """Exact optimum of the per-slot observation/compression problem."""
+class JosapSolution(_PickViews):
+    """Exact optimum of the per-slot observation/compression problem, as
+    picks over the (I, K) ``shape`` with the same dense views."""
 
-    observe: np.ndarray
-    rho: np.ndarray
-    arrivals: np.ndarray
+    picks: list
+    shape: tuple[int, int]
     objective: float
 
 
@@ -172,19 +221,6 @@ def observation_matching(alpha: np.ndarray, B: np.ndarray) -> np.ndarray:
     for i, k in matching:
         x[i, k] = 1
     return x
-
-
-def _observation(B: np.ndarray, picks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(target, satellite, ratio)`` picks as the (I, K) observation
-    schedule and ratios and the (K, I) arrivals ``(rho * observe * B).T``,
-    in the field order of ``JosapResult`` and ``JosapSolution``. Off the
-    schedule rho is 0, so the arrivals are ``(rho * B).T``."""
-    observe = np.zeros(B.shape, dtype=int)
-    rho = np.zeros(B.shape)
-    for i, k, r in picks:
-        observe[i, k] = 1
-        rho[i, k] = r
-    return observe, rho, (rho * B).T.copy()
 
 
 def _pair_pressure(Q: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -289,8 +325,9 @@ def josap_solve(
             if m:
                 # Charging a_j per Mbit on top of the pressure sets the ratios' V trend.
                 r, term = _pick_ratio(tables[j], a_j + p_j, b)
-                picks.append((rows[j], cols[j], r))
-                obj += term - p_j * (r * b)
+                volume = r * b
+                picks.append((rows[j], cols[j], r, volume))
+                obj += term - p_j * volume
             moved = a_j - step * ((b if m else 0.0) - free[j])
             moved = moved if moved > 0.0 else 0.0
             change = abs(moved - a_j)
@@ -308,7 +345,8 @@ def josap_solve(
     duals = np.full_like(B, params.dual_init)
     duals.put(visible, alpha)
     return JosapResult(
-        *_observation(B, best),
+        picks=best,
+        shape=B.shape,
         objective=best_obj,
         iterations=l,
         converged=converged,
@@ -343,31 +381,30 @@ def josap_exact(
     problem = AssignmentProblem(gains, (1,) * B.shape[1])
     matching, objective = max_weight_assignment(problem)
 
-    picks = [(i, k, cands[pick[i, k]]) for i, k in matching]
-    return JosapSolution(*_observation(B, picks), objective=objective)
+    picks = []
+    for i, k in matching:
+        r = cands[pick[i, k]]
+        picks.append((i, k, r, r * B.item(i, k)))
+    return JosapSolution(picks, B.shape, objective=objective)
 
 
 def _transmission(
     weights: np.ndarray, Q: np.ndarray, C: np.ndarray, config: NetworkConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, N) transmission schedule of a max-weight matching of
-    satellites to destination transceivers, and its (K, N, I) service:
-    each matched link serves its satellite's most backlogged flow (ties
-    to the lowest flow index) at full capacity."""
+) -> list:
+    """The links of a max-weight matching of satellites to destination
+    transceivers, as ``SlotDecision.links``: each matched link serves its
+    satellite's most backlogged flow (ties to the lowest flow index) at
+    full capacity."""
     matching, _ = max_weight_assignment(AssignmentProblem(weights, config.transceivers))
-    top_flow = np.argmax(Q, axis=1)
-    y = np.zeros(C.shape, dtype=int)
-    service = np.zeros(C.shape + Q.shape[1:])
-    for k, n in matching:
-        y[k, n] = 1
-        service[k, n, top_flow[k]] = C[k, n]
-    return y, service
+    top_flow = np.argmax(Q, axis=1).tolist()
+    return [(k, n, top_flow[k], C.item(k, n)) for k, n in matching]
 
 
 def ts_solve(
     Q: np.ndarray, C: np.ndarray, config: NetworkConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transmission schedule and per-flow service volumes.
+) -> tuple[np.ndarray, list]:
+    """The (K, N) binary transmission schedule and its links, as
+    ``SlotDecision.links``.
 
     Each satellite offers its most backlogged flow; link weights are that
     backlog times the link capacity. A max-weight matching under the
@@ -377,7 +414,11 @@ def ts_solve(
     """
     Q = np.asarray(Q, dtype=float)
     C = np.asarray(C, dtype=float)
-    return _transmission(Q.max(axis=1)[:, None] * C, Q, C, config)
+    links = _transmission(Q.max(axis=1)[:, None] * C, Q, C, config)
+    y = np.zeros(C.shape, dtype=int)
+    for k, n, _, _ in links:
+        y[k, n] = 1
+    return y, links
 
 
 def dmrc_step(
@@ -389,14 +430,8 @@ def dmrc_step(
     """One full DMRC decision: observation/compression via the dual
     solver, transmission via backlog-weighted matching."""
     j = josap_solve(queues.data, queues.deficit, channels.B, config, params)
-    y, service = ts_solve(queues.data, channels.C, config)
-    return SlotDecision(
-        observe=j.observe,
-        transmit=y,
-        rho=j.rho,
-        arrivals=j.arrivals,
-        service=service,
-    )
+    _, links = ts_solve(queues.data, channels.C, config)
+    return SlotDecision(j.picks, links, channels.B.shape + channels.C.shape[1:])
 
 
 def random_schedule(
@@ -427,31 +462,31 @@ def random_schedule(
     ratios = config.compression_set
     picks = []
     used_eos = np.zeros(K, dtype=bool)
-    for i in rng.permutation(I):
+    for i in rng.permutation(I).tolist():
         options = [k for k in range(K) if obs_visible[i, k] and not used_eos[k]]
         pick = rng.integers(0, len(options) + 1)
         if pick < len(options):
             k = options[pick]
             used_eos[k] = True
-            picks.append((i, k, ratios[rng.integers(0, len(ratios))]))
+            r = ratios[rng.integers(0, len(ratios))]
+            picks.append((i, k, r, r * B.item(i, k)))
 
-    y = np.zeros((K, N), dtype=int)
-    service = np.zeros((K, N, I))
+    links = []
     slots_left = list(config.transceivers)
-    for k in rng.permutation(K):
+    for k in rng.permutation(K).tolist():
         options = [n for n in range(N) if trans_visible[k, n] and slots_left[n] > 0]
         pick = rng.integers(0, len(options) + 1)
         if pick < len(options):
             n = options[pick]
-            y[k, n] = 1
             slots_left[n] -= 1
             backlogged = np.nonzero(queues.data[k] > 0)[0]
             if backlogged.size:
-                i = backlogged[rng.integers(0, backlogged.size)]
-                service[k, n, i] = C[k, n]
+                i = int(backlogged[rng.integers(0, backlogged.size)])
+                links.append((k, n, i, C.item(k, n)))
+            else:
+                links.append((k, n, None, 0.0))
 
-    x, rho, arrivals = _observation(B, picks)
-    return SlotDecision(observe=x, transmit=y, rho=rho, arrivals=arrivals, service=service)
+    return SlotDecision(picks, links, (I, K, N))
 
 
 def fixed_cr_schedule(
@@ -464,10 +499,10 @@ def fixed_cr_schedule(
     B, C = channels.B, channels.C
     matching, _ = max_weight_assignment(AssignmentProblem(B, (1,) * B.shape[1]))
     fixed = config.compression_set[-1]
-    x, rho, arrivals = _observation(B, [(i, k, fixed) for i, k in matching])
+    picks = [(i, k, fixed, fixed * B.item(i, k)) for i, k in matching]
     # Raw capacities weigh the links, so not ts_solve, which weighs by backlog.
-    y, service = _transmission(C, queues.data, C, config)
-    return SlotDecision(observe=x, transmit=y, rho=rho, arrivals=arrivals, service=service)
+    links = _transmission(C, queues.data, C, config)
+    return SlotDecision(picks, links, B.shape + C.shape[1:])
 
 
 def validate_decision(
@@ -479,52 +514,63 @@ def validate_decision(
 ) -> None:
     """Check every scheduling constraint; raise on the first violation.
 
-    Covers: binary schedules restricted to visible contacts, one target
-    per satellite and vice versa, one destination per satellite, the
-    per-destination transceiver limits, service within scheduled link
-    capacity, ratios drawn from the allowed set, and arrivals consistent
-    with schedule, ratio and capacity.
+    Reads only the decision's picks and links, in plain Python, so its
+    time grows with their number and not with the (I, K, N) shape. The
+    checks, in order: no pair picked and no link scheduled twice
+    ("schedules must be binary"); picks and links on visible contacts;
+    one target per satellite and vice versa; one destination per
+    satellite; the per-destination transceiver limits; finite,
+    nonnegative service within its link's capacity; ratios drawn from
+    the allowed set; and arrival volumes equal to ratio times capacity.
+    On the dense views each check raises exactly where the dense form of
+    the same rule would, in the same order; a ratio on an unscheduled
+    pair cannot be stated in picks.
     """
-    x, y = decision.observe, decision.transmit
-    if not (((x == 0) | (x == 1)).all() and ((y == 0) | (y == 1)).all()):
+    picks, links = decision.picks, decision.links
+    pairs = [(i, k) for i, k, _, _ in picks]
+    edges = [(k, n) for k, n, _, _ in links]
+    if len(set(pairs)) < len(pairs) or len(set(edges)) < len(edges):
         raise ScheduleValidationError("schedules must be binary")
-    if np.any(x.astype(bool) & ~obs_visible):
+    if not all(obs_visible[pair] for pair in pairs):
         raise ScheduleValidationError("observation scheduled outside a contact")
-    if np.any(y.astype(bool) & ~trans_visible):
+    if not all(trans_visible[edge] for edge in edges):
         raise ScheduleValidationError("transmission scheduled outside a contact")
-    if x.sum(axis=0).max(initial=0) > 1:
+    if len({k for _, k in pairs}) < len(pairs):
         raise ScheduleValidationError("satellite observes more than one target")
-    if x.sum(axis=1).max(initial=0) > 1:
+    if len({i for i, _ in pairs}) < len(pairs):
         raise ScheduleValidationError("target observed by more than one satellite")
-    if y.sum(axis=1).max(initial=0) > 1:
+    if len({k for k, _ in edges}) < len(edges):
         raise ScheduleValidationError("satellite transmits to more than one destination")
-    over = y.sum(axis=0) > np.asarray(config.transceivers)
-    if np.any(over):
+    destinations = [n for _, n in edges]
+    if any(destinations.count(n) > config.transceivers[n] for n in destinations):
         raise ScheduleValidationError("destination transceiver limit exceeded")
 
-    if np.any(decision.service < 0):
+    volumes = [s for _, _, _, s in links]
+    if not all(map(math.isfinite, volumes)):
+        raise ScheduleValidationError("non-finite service volume")
+    if min(volumes, default=0.0) < 0:
         raise ScheduleValidationError("negative service volume")
-    link_cap = y * channels.C
-    slack = 1e-9 * max(1.0, float(channels.C.max(initial=0.0)))
-    if np.any(decision.service.sum(axis=2) > link_cap + slack):
-        raise ScheduleValidationError("service exceeds scheduled link capacity")
+    C = channels.C
+    over = [(s, C[k, n]) for k, n, _, s in links if s > C[k, n]]
+    # The slack reads all of C, so only once some link is over capacity.
+    if over:
+        slack = 1e-9 * max(1.0, float(C.max(initial=0.0)))
+        if any(s > c + slack for s, c in over):
+            raise ScheduleValidationError("service exceeds scheduled link capacity")
 
-    # Both closeness tests spell out np.isclose's rule, |a - b| <= atol +
-    # rtol * |b| (rtol 1e-5 for the ratios), without its per-call setup.
-    # The allowed ratios are finite and nonnegative. A ratio of 0 is
-    # always allowed, so only the nonzero ones are tested.
-    allowed = np.array(config.compression_set + (0.0,))
-    rho = decision.rho
-    set_ratios = rho[rho != 0.0]
-    near = np.abs(set_ratios[:, None] - allowed) <= 1e-12 + 1e-5 * allowed
-    if not near.any(axis=1).all():
-        raise ScheduleValidationError("compression ratio outside the allowed set")
-    if np.any((rho > 0) & (x == 0)):
-        raise ScheduleValidationError("compression ratio set on an unscheduled pair")
+    # Both closeness tests are np.isclose's rule, |a - b| <= atol + rtol *
+    # |b| (rtol 1e-5 for the ratios). The allowed ratios are finite and
+    # nonnegative. A ratio of 0 is always allowed.
+    allowed = config.compression_set + (0.0,)
+    for _, _, r, _ in picks:
+        if r != 0.0 and not any(abs(r - a) <= 1e-12 + 1e-5 * a for a in allowed):
+            raise ScheduleValidationError("compression ratio outside the allowed set")
 
-    arrivals, expected = decision.arrivals, (rho * x * channels.B).T
-    close = np.abs(arrivals - expected) <= 1e-9 + 1e-9 * np.abs(expected)
-    if not (close & np.isfinite(expected) | (arrivals == expected)).all():
-        raise ScheduleValidationError(
-            "arrivals inconsistent with schedule, ratio and capacity"
-        )
+    B = channels.B
+    for i, k, r, a in picks:
+        expected = r * B[i, k]
+        close = abs(a - expected) <= 1e-9 + 1e-9 * abs(expected)
+        if not (close and math.isfinite(expected) or a == expected):
+            raise ScheduleValidationError(
+                "arrivals inconsistent with schedule, ratio and capacity"
+            )

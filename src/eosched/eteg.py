@@ -100,40 +100,45 @@ def record_decision(
     g: Eteg,
     t: int,
     decision: SlotDecision,
-    shipped: np.ndarray,
+    shipped,
     stored: np.ndarray,
 ) -> None:
     """Write one slot's realized volumes into the ledger.
 
-    ``shipped`` is the physically delivered (K, N, I) volume, which may
-    be less than the scheduled service when a queue runs dry. ``stored``
-    is the (K, I) buffer content carried into slot t+1.
+    ``shipped`` holds the physically delivered volume of each of the
+    decision's links, in their order; it may be less than the scheduled
+    service when a queue runs dry, and is 0 on a link without a flow.
+    ``stored`` is the (K, I) buffer content carried into slot t+1. Only
+    the picks' and links' cells of slot t are written, so each slot is
+    recorded once, into the zeros ``build_eteg`` left.
     """
     if not (0 <= t < g.horizon):
         raise DimensionError(f"slot {t} outside horizon {g.horizon}")
-    shipped = np.asarray(shipped, dtype=float)
+    if len(shipped) != len(decision.links):
+        raise DimensionError("expected one shipped volume per link")
     stored = np.asarray(stored, dtype=float)
 
-    injected = decision.arrivals.T  # (I, K)
-    bad = (injected > 0) & ~g.obs_visible[t]
-    if np.any(bad):
-        i, k = np.argwhere(bad)[0]
-        raise ConsistencyError(
-            f"slot {t}: volume on nonexistent observation edge ({i},{k})"
-        )
-    bad = (shipped.sum(axis=2) > 0) & ~(
-        g.trans_visible[t] & decision.transmit.astype(bool)
-    )
-    if np.any(bad):
-        k, n = np.argwhere(bad)[0]
-        raise ConsistencyError(
-            f"slot {t}: volume on unscheduled or nonexistent forward edge ({k},{n})"
-        )
-    if np.any(stored < 0):
+    visible = g.obs_visible[t]
+    for i, k, _, a in decision.picks:
+        if a > 0 and not visible[i, k]:
+            raise ConsistencyError(
+                f"slot {t}: volume on nonexistent observation edge ({i},{k})"
+            )
+    visible = g.trans_visible[t]
+    for (k, n, _, _), s in zip(decision.links, shipped):
+        if s > 0 and not visible[k, n]:
+            raise ConsistencyError(
+                f"slot {t}: volume on nonexistent forward edge ({k},{n})"
+            )
+    if (stored < 0).any():
         raise ConsistencyError(f"slot {t}: negative stored volume")
 
-    g.joc_volume[t] = injected
-    g.fwd_volume[t] = shipped
+    joc, fwd = g.joc_volume[t], g.fwd_volume[t]
+    for i, k, _, a in decision.picks:
+        joc[i, k] = a
+    for (k, n, f, _), s in zip(decision.links, shipped):
+        if f is not None:
+            fwd[k, n, f] = s
     g.store_volume[t + 1] = stored
 
 

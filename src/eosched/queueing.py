@@ -41,16 +41,22 @@ class DriftBound:
     gamma: float
 
 
-def update_data_queues(
-    state: QueueState, arrivals: np.ndarray, services: np.ndarray
-) -> QueueState:
+def update_data_queues(state: QueueState, arrivals, services) -> QueueState:
     """Advance the data queues one slot: drain scheduled service from the
-    current occupancy (never below zero), then add the slot's arrivals."""
-    arrivals = np.asarray(arrivals, dtype=float)
-    services = np.asarray(services, dtype=float)
-    if np.any(arrivals < 0) or np.any(services < 0):
+    current occupancy (never below zero), then add the slot's arrivals.
+
+    ``arrivals`` and ``services`` are ``(k, i, volume)`` triples, at most
+    one per queue in each; every other queue keeps its occupancy. Each
+    queue becomes ``max(data - service, 0.0) + arrival``, the dense
+    recursion with zero for a queue that has no triple.
+    """
+    if any(v < 0 for _, _, v in arrivals) or any(v < 0 for _, _, v in services):
         raise ParameterError("arrivals and services must be nonnegative")
-    nxt = np.maximum(state.data - services, 0.0) + arrivals
+    nxt = state.data.copy()
+    for k, i, s in services:
+        nxt[k, i] = max(nxt[k, i] - s, 0.0)
+    for k, i, a in arrivals:
+        nxt[k, i] += a
     return QueueState(data=nxt, deficit=state.deficit)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,6 +172,22 @@ class ChannelModel:
         s, p = _check_distribution(self.trans_support, self.trans_probs, "trans")
         object.__setattr__(self, "trans_support", s)
         object.__setattr__(self, "trans_probs", p)
+
+    @cached_property
+    def _lookup(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The observation and transmission distributions as (support,
+        CDF) arrays, the CDF built as ``Generator.choice`` builds it from
+        ``p``: the cumulative sum divided by its last entry."""
+
+        def table(support, probs):
+            cdf = np.cumsum(probs)
+            cdf /= cdf[-1]
+            return np.asarray(support), cdf
+
+        return (
+            table(self.obs_support, self.obs_probs),
+            table(self.trans_support, self.trans_probs),
+        )
 
 
 @dataclass(frozen=True)
@@ -341,7 +358,11 @@ def sample_channels(
     Every visible pair gets an independent draw from the configured rate
     distribution, scaled by ``tau`` into Mbit/slot; invisible pairs are
     zero. Draws consume the generator in a fixed order, so a fixed seed
-    replays bitwise-identical sequences.
+    replays bitwise-identical sequences. One ``rng.random`` call draws
+    I*K + K*N doubles, and each is looked up on the right side of its
+    distribution's CDF: the same doubles, in the same order, and the same
+    lookup as ``Generator.choice(..., p=...)`` called for the (I, K) and
+    then the (K, N) draws.
     """
     T = plan.horizon
     if not (0 <= t < T):
@@ -349,8 +370,10 @@ def sample_channels(
     I, K = plan.obs_visible.shape[1:]
     N = plan.trans_visible.shape[2]
 
-    obs_draw = rng.choice(model.obs_support, size=(I, K), p=model.obs_probs)
-    trans_draw = rng.choice(model.trans_support, size=(K, N), p=model.trans_probs)
-    B = np.where(plan.obs_visible[t], obs_draw * tau, 0.0)
-    C = np.where(plan.trans_visible[t], trans_draw * tau, 0.0)
+    (obs_values, obs_cdf), (trans_values, trans_cdf) = model._lookup
+    u = rng.random(I * K + K * N)
+    obs_draw = obs_values[obs_cdf.searchsorted(u[: I * K], side="right")]
+    trans_draw = trans_values[trans_cdf.searchsorted(u[I * K:], side="right")]
+    B = np.where(plan.obs_visible[t], obs_draw.reshape(I, K) * tau, 0.0)
+    C = np.where(plan.trans_visible[t], trans_draw.reshape(K, N) * tau, 0.0)
     return ChannelState(B=B, C=C)

@@ -149,16 +149,27 @@ def run(
         except ScheduleValidationError as exc:
             raise ScheduleValidationError(f"slot {t}: {exc}") from exc
 
-        # Delivered volume is capped by what the queue actually holds;
-        # the queue recursion itself uses the uncapped scheduled service.
-        shipped = np.minimum(decision.service, queues.data[:, None, :])
-        service = decision.service.sum(axis=1)  # (K, I)
-        next_data = update_data_queues(queues, decision.arrivals, service)
+        # The slot's work reads only the picks and links. Delivered volume
+        # is capped by what the queue actually holds; the queue recursion
+        # itself uses the uncapped scheduled service. A target is imaged
+        # by at most one satellite, and a satellite sends on at most one
+        # link, so no two picks or links share a queue.
+        data = queues.data
+        served = [(k, f, s) for k, _, f, s in decision.links if f is not None]
+        shipped = [
+            0.0 if f is None else min(s, data[k, f]) for k, _, f, s in decision.links
+        ]
+        flow_arrivals = np.zeros(I)
+        for i, _, _, a in decision.picks:
+            flow_arrivals[i] = a
+        next_data = update_data_queues(
+            queues, [(k, i, a) for i, k, _, a in decision.picks], served
+        )
         record_decision(ledger, t, decision, shipped, next_data.data)
-        queues = update_virtual_queues(next_data, decision.arrivals.sum(axis=0), floors)
+        queues = update_virtual_queues(next_data, flow_arrivals, floors)
         deficit[t + 1] = queues.deficit
         if record_history:
-            service_hist[t] = service
+            service_hist[t] = decision.service.sum(axis=1)
 
     return RunResult(
         metrics=_read_metrics(ledger, deficit),

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -621,17 +622,17 @@ class TestJosapSolve:
 class TestTsSolve:
     def test_no_links_no_schedule(self):
         cfg = make_config(num_eos=2, num_destinations=1)
-        y, service = ts_solve(np.zeros((2, 2)), np.zeros((2, 1)), cfg)
-        assert y.sum() == 0 and service.sum() == 0
+        y, links = ts_solve(np.zeros((2, 2)), np.zeros((2, 1)), cfg)
+        assert y.sum() == 0 and links == []
 
     def test_capacity_weighted_choice(self):
         # Weights 10*200 vs 6*400: the second satellite wins the one slot.
         cfg = make_config(num_targets=1, num_eos=2, num_destinations=1, transceivers=1)
         Q = np.array([[10.0], [6.0]])
         C = np.array([[200.0], [400.0]])
-        y, service = ts_solve(Q, C, cfg)
+        y, links = ts_solve(Q, C, cfg)
         assert y[1, 0] == 1 and y[0, 0] == 0
-        assert service[1, 0, 0] == 400.0
+        assert links == [(1, 0, 0, 400.0)]
 
     def test_two_transceivers_serve_both(self):
         cfg = make_config(num_targets=1, num_eos=2, num_destinations=1, transceivers=2)
@@ -644,9 +645,8 @@ class TestTsSolve:
         cfg = make_config(num_targets=3, num_eos=1, num_destinations=1, transceivers=1)
         Q = np.array([[5.0, 9.0, 9.0]])
         C = np.array([[300.0]])
-        _, service = ts_solve(Q, C, cfg)
-        assert service[0, 0, 1] == 300.0
-        assert service[0, 0, 2] == 0.0
+        _, links = ts_solve(Q, C, cfg)
+        assert links == [(0, 0, 1, 300.0)]
 
     def test_scaling_queues_leaves_matching_invariant(self):
         cfg = make_config(num_targets=2, num_eos=4, num_destinations=2, transceivers=1)
@@ -667,7 +667,7 @@ class TestTsSolve:
         )
         Q = rng.uniform(0, 50, size=(K, 2))
         C = rng.choice((0.0, 200.0, 400.0), size=(K, N))
-        y, service = ts_solve(Q, C, cfg)
+        y, _ = ts_solve(Q, C, cfg)
         got = float(np.sum(np.max(Q, axis=1)[:, None] * y * C))
 
         best = 0.0
@@ -836,6 +836,125 @@ class TestPolicyDecisionsAreValid:
         validate_decision(d, cfg, state, obs_mask, trans_mask)
 
 
+def dense_validate_reference(decision, config, channels, obs_visible, trans_visible):
+    """``validate_decision`` as it read the dense (I, K), (K, N) and
+    (K, N, I) arrays, here fed the decision's dense views, with the check
+    for non-finite service volumes added before the negative one."""
+    x, y = decision.observe, decision.transmit
+    if not (((x == 0) | (x == 1)).all() and ((y == 0) | (y == 1)).all()):
+        raise ScheduleValidationError("schedules must be binary")
+    if np.any(x.astype(bool) & ~obs_visible):
+        raise ScheduleValidationError("observation scheduled outside a contact")
+    if np.any(y.astype(bool) & ~trans_visible):
+        raise ScheduleValidationError("transmission scheduled outside a contact")
+    if x.sum(axis=0).max(initial=0) > 1:
+        raise ScheduleValidationError("satellite observes more than one target")
+    if x.sum(axis=1).max(initial=0) > 1:
+        raise ScheduleValidationError("target observed by more than one satellite")
+    if y.sum(axis=1).max(initial=0) > 1:
+        raise ScheduleValidationError("satellite transmits to more than one destination")
+    over = y.sum(axis=0) > np.asarray(config.transceivers)
+    if np.any(over):
+        raise ScheduleValidationError("destination transceiver limit exceeded")
+
+    service = decision.service
+    if not np.isfinite(service).all():
+        raise ScheduleValidationError("non-finite service volume")
+    if np.any(service < 0):
+        raise ScheduleValidationError("negative service volume")
+    link_cap = y * channels.C
+    slack = 1e-9 * max(1.0, float(channels.C.max(initial=0.0)))
+    if np.any(service.sum(axis=2) > link_cap + slack):
+        raise ScheduleValidationError("service exceeds scheduled link capacity")
+
+    allowed = np.array(config.compression_set + (0.0,))
+    rho = decision.rho
+    set_ratios = rho[rho != 0.0]
+    near = np.abs(set_ratios[:, None] - allowed) <= 1e-12 + 1e-5 * allowed
+    if not near.any(axis=1).all():
+        raise ScheduleValidationError("compression ratio outside the allowed set")
+    if np.any((rho > 0) & (x == 0)):
+        raise ScheduleValidationError("compression ratio set on an unscheduled pair")
+
+    arrivals, expected = decision.arrivals, (rho * x * channels.B).T
+    close = np.abs(arrivals - expected) <= 1e-9 + 1e-9 * np.abs(expected)
+    if not (close & np.isfinite(expected) | (arrivals == expected)).all():
+        raise ScheduleValidationError(
+            "arrivals inconsistent with schedule, ratio and capacity"
+        )
+
+
+def validation_outcome(validate, decision, *context):
+    """The message ``validate`` raises on ``decision``, or None."""
+    try:
+        validate(decision, *context)
+    except ScheduleValidationError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def sparse_decisions(draw):
+    """A small slot and a decision as picks and links, often broken:
+    repeated or off-contact picks and links, off-set ratios and ratio 0,
+    wrong arrival volumes, and service volumes that are over capacity,
+    negative, NaN or infinite. A link without a flow carries volume 0."""
+    I, K, N = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    trx = tuple(draw(st.lists(st.integers(1, 2), min_size=N, max_size=N)))
+    cfg = make_config(num_targets=I, num_eos=K, num_destinations=N, transceivers=trx)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obs_mask = rng.random((I, K)) < 0.8
+    trans_mask = rng.random((K, N)) < 0.8
+    B = np.where(obs_mask, rng.choice((600.0, 800.0, 1000.0), size=(I, K)), 0.0)
+    C = np.where(trans_mask, rng.choice((0.0, 200.0, 400.0), size=(K, N)), 0.0)
+    slack = 1e-9 * max(1.0, float(C.max()))
+
+    def cells(rows, cols):
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        return draw(st.lists(cell, max_size=3, unique=True))
+
+    # Valid values are listed more than once, so that later checks are reached.
+    ratios = cfg.compression_set * 2 + (
+        0.0, 0.9, -0.25, 0.5 * (1 + 5e-6), 0.5 * (1 + 2e-5), 1e-13, math.nan, math.inf,
+    )
+    picks = []
+    for i, k in cells(I, K):
+        r = draw(st.sampled_from(ratios))
+        a = r * B.item(i, k)
+        a = draw(st.sampled_from((a, a, a, a * (1 + 1e-10), a + 1.0, 0.0, math.nan)))
+        picks.append((i, k, r, a))
+    links = []
+    for k, n in cells(K, N):
+        f = draw(st.none() | st.integers(0, I - 1))
+        c = C.item(k, n)
+        s = 0.0 if f is None else draw(st.sampled_from((
+            c, c, c, 0.5 * c, 0.0, c + 0.5 * slack, c + 2 * slack, c + 1.0,
+            -1.0, math.nan, math.inf, -math.inf,
+        )))
+        links.append((k, n, f, s))
+    for listed in (picks, links):
+        if listed and draw(st.integers(0, 5)) == 3:
+            listed.append(draw(st.sampled_from(listed)))
+    decision = SlotDecision(picks, links, (I, K, N))
+    return decision, cfg, ChannelState(B=B, C=C), obs_mask, trans_mask
+
+
+class TestSparseValidator:
+    @given(sparse_decisions())
+    @settings(max_examples=1500, deadline=None)
+    def test_raises_what_the_dense_reference_raises(self, case):
+        decision, *context = case
+        assert validation_outcome(validate_decision, decision, *context) == (
+            validation_outcome(dense_validate_reference, decision, *context)
+        )
+
+    def test_views_are_read_only(self):
+        d = SlotDecision([(0, 0, 0.5, 400.0)], [(0, 0, None, 0.0)], (1, 1, 1))
+        for view in (d.observe, d.rho, d.arrivals, d.transmit, d.service):
+            with pytest.raises(ValueError):
+                view[(0,) * view.ndim] = 7
+
+
 class TestValidatorMessages:
     """Each check of ``validate_decision`` rejects a valid decision once
     its one constraint is broken, and names it."""
@@ -851,20 +970,18 @@ class TestValidatorMessages:
         """Target 0 imaged by satellite 0 and target 1 by satellite 1, at
         ratio 1/2; satellite 0 sends flow 0 to destination 0 and satellite
         2 sends flow 1 to destination 1."""
-        observe = np.array([[1, 0, 0], [0, 1, 0]])
-        rho = observe * 0.5
-        transmit = np.array([[1, 0], [0, 0], [0, 1]])
-        service = np.zeros((3, 2, 2))
-        service[0, 0, 0] = 400.0
-        service[2, 1, 1] = 200.0
         return dict(
-            observe=observe, transmit=transmit, rho=rho,
-            arrivals=(rho * observe * self.STATE.B).T, service=service,
+            picks=[self.pick(0, 0), self.pick(1, 1)],
+            links=[(0, 0, 0, 400.0), (2, 1, 1, 200.0)],
         )
+
+    def pick(self, i, k, r=0.5):
+        return (i, k, r, r * self.STATE.B[i, k])
 
     def check(self, fields):
         validate_decision(
-            SlotDecision(**fields), self.CFG, self.STATE, self.OBS_MASK, self.TRANS_MASK
+            SlotDecision(**fields, shape=(2, 3, 2)),
+            self.CFG, self.STATE, self.OBS_MASK, self.TRANS_MASK,
         )
 
     def test_base_decision_is_valid(self):
@@ -872,41 +989,31 @@ class TestValidatorMessages:
 
     def break_one(self, name):
         d = self.valid()
-        observe, transmit, rho, service = (
-            d[name] for name in ("observe", "transmit", "rho", "service")
-        )
-
-        def move_target(i, k_from, k_to):
-            observe[i, k_from], observe[i, k_to] = 0, 1
-            rho[i, k_from], rho[i, k_to] = 0.0, 0.5
-
+        picks, links = d["picks"], d["links"]
         if name == "binary":
-            transmit[1, 0] = 2
+            links += [(1, 0, None, 0.0)] * 2
         elif name == "observation contact":
-            move_target(0, 0, 2)  # (0, 2) is no contact
+            picks[0] = self.pick(0, 2)  # (0, 2) is no contact
         elif name == "transmission contact":
-            transmit[2, 1], transmit[1, 1] = 0, 1  # (1, 1) is no contact
-            service[2, 1, 1] = 0.0
+            links[1] = (1, 1, None, 0.0)  # (1, 1) is no contact
         elif name == "satellite observes two":
-            move_target(1, 1, 0)
+            picks[1] = self.pick(1, 0)
         elif name == "target observed twice":
-            observe[1, 2], rho[1, 2] = 1, 0.5
+            picks.append(self.pick(1, 2))
         elif name == "satellite sends to two":
-            transmit[2, 1], transmit[0, 1] = 0, 1
-            service[2, 1, 1], service[0, 1, 1] = 0.0, 200.0
+            links[1] = (0, 1, 1, 200.0)
         elif name == "transceiver limit":
-            transmit[1, 0] = 1
+            links.append((1, 0, None, 0.0))
+        elif name == "non-finite service":
+            links[0] = (0, 0, 0, math.nan)
         elif name == "negative service":
-            service[1, 1, 0] = -1.0
+            links[1] = (2, 1, 1, -1.0)
         elif name == "service over capacity":
-            service[0, 0, 1] = 1.0
+            links[0] = (0, 0, 0, 401.0)
         elif name == "ratio outside set":
-            rho[0, 0] = 0.9
-        elif name == "ratio on unscheduled pair":
-            rho[0, 1] = 0.5
-        d["arrivals"] = (rho * observe * self.STATE.B).T
-        if name == "arrivals":
-            d["arrivals"][0, 0] += 1.0
+            picks[0] = self.pick(0, 0, 0.9)
+        elif name == "arrivals":
+            picks[0] = (0, 0, 0.5, 401.0)
         return d
 
     @pytest.mark.parametrize(
@@ -923,9 +1030,8 @@ class TestValidatorMessages:
             ("negative service", "negative service volume"),
             ("service over capacity", "service exceeds scheduled link capacity"),
             ("ratio outside set", "compression ratio outside the allowed set"),
-            ("ratio on unscheduled pair",
-             "compression ratio set on an unscheduled pair"),
             ("arrivals", "arrivals inconsistent with schedule, ratio and capacity"),
+            ("non-finite service", "non-finite service volume"),
         ],
     )
     def test_one_broken_constraint_is_named(self, name, message):
@@ -951,75 +1057,46 @@ class TestValidator:
 
     def test_double_observation_rejected(self):
         cfg, state, d, (om, tm) = self.base()
-        bad = np.array([[1, 1], [0, 0]])
-        d2 = type(d)(
-            observe=bad, transmit=d.transmit, rho=d.rho, arrivals=d.arrivals,
-            service=d.service,
-        )
+        picks = [(0, k, 0.25, 0.25 * state.B[0, k]) for k in (0, 1)]
         with pytest.raises(ScheduleValidationError):
-            validate_decision(d2, cfg, state, om, tm)
+            validate_decision(replace(d, picks=picks), cfg, state, om, tm)
 
     def test_transceiver_limit_enforced(self):
         cfg, state, d, (om, tm) = self.base()
-        bad = np.array([[1], [1]])
-        d2 = type(d)(
-            observe=d.observe, transmit=bad, rho=d.rho, arrivals=d.arrivals,
-            service=d.service,
-        )
+        links = [(0, 0, None, 0.0), (1, 0, None, 0.0)]
         with pytest.raises(ScheduleValidationError):
-            validate_decision(d2, cfg, state, om, tm)
+            validate_decision(replace(d, links=links), cfg, state, om, tm)
 
     def test_service_over_capacity_rejected(self):
         cfg, state, d, (om, tm) = self.base()
-        bad = d.service.copy()
-        bad[bad > 0] *= 2
-        d2 = type(d)(
-            observe=d.observe, transmit=d.transmit, rho=d.rho, arrivals=d.arrivals,
-            service=bad,
-        )
+        links = [(k, n, f, 2 * s) for k, n, f, s in d.links]
+        assert any(s > 0 for *_, s in links)
         with pytest.raises(ScheduleValidationError):
-            validate_decision(d2, cfg, state, om, tm)
+            validate_decision(replace(d, links=links), cfg, state, om, tm)
+
+    def with_ratio(self, d, state, r):
+        """``d`` with its first pick's ratio, and so its arrival, changed."""
+        i, k, _, _ = d.picks[0]
+        return replace(d, picks=[(i, k, r, r * state.B[i, k]), *d.picks[1:]])
 
     def test_ratio_outside_set_rejected(self):
         cfg, state, d, (om, tm) = self.base()
-        bad = d.rho.copy()
-        matched = np.argwhere(d.observe == 1)
-        if len(matched) == 0:
+        if not d.picks:
             pytest.skip("no matched pair in this instance")
-        i, k = matched[0]
-        bad[i, k] = 0.9
-        arr = (bad * d.observe * state.B).T
-        d2 = type(d)(
-            observe=d.observe, transmit=d.transmit, rho=bad, arrivals=arr,
-            service=d.service,
-        )
         with pytest.raises(ScheduleValidationError):
-            validate_decision(d2, cfg, state, om, tm)
+            validate_decision(self.with_ratio(d, state, 0.9), cfg, state, om, tm)
 
     def test_ratio_tolerance_and_non_finite_ratio(self):
         cfg, state, d, (om, tm) = self.base()
-        i, k = np.argwhere(d.observe == 1)[0]
-
-        def with_ratio(r):
-            rho = d.rho.copy()
-            rho[i, k] = r
-            return type(d)(
-                observe=d.observe, transmit=d.transmit, rho=rho,
-                arrivals=(rho * d.observe * state.B).T, service=d.service,
-            )
-
-        validate_decision(with_ratio(d.rho[i, k] * (1 + 5e-6)), cfg, state, om, tm)
-        for bad in (d.rho[i, k] * (1 + 2e-5), math.nan, -0.25):
+        r = d.picks[0][2]
+        validate_decision(self.with_ratio(d, state, r * (1 + 5e-6)), cfg, state, om, tm)
+        for bad in (r * (1 + 2e-5), math.nan, -0.25):
             with pytest.raises(ScheduleValidationError, match="compression ratio"):
-                validate_decision(with_ratio(bad), cfg, state, om, tm)
+                validate_decision(self.with_ratio(d, state, bad), cfg, state, om, tm)
 
     def test_inconsistent_arrivals_rejected(self):
         cfg, state, d, (om, tm) = self.base()
-        arr = d.arrivals.copy()
-        arr += 1.0
-        d2 = type(d)(
-            observe=d.observe, transmit=d.transmit, rho=d.rho, arrivals=arr,
-            service=d.service,
-        )
+        picks = [(i, k, r, a + 1.0) for i, k, r, a in d.picks]
+        assert picks
         with pytest.raises(ScheduleValidationError):
-            validate_decision(d2, cfg, state, om, tm)
+            validate_decision(replace(d, picks=picks), cfg, state, om, tm)

@@ -35,13 +35,7 @@ def states_for(plan, model=None, seed=0):
 
 
 def zero_decision(I=2, K=2, N=1):
-    return SlotDecision(
-        observe=np.zeros((I, K), dtype=int),
-        transmit=np.zeros((K, N), dtype=int),
-        rho=np.zeros((I, K)),
-        arrivals=np.zeros((K, I)),
-        service=np.zeros((K, N, I)),
-    )
+    return SlotDecision([], [], (I, K, N))
 
 
 class TestBuild:
@@ -84,45 +78,31 @@ class TestRecord:
     def test_zero_decision_changes_nothing(self):
         plan = tiny_plan()
         g = build_eteg(plan, states_for(plan))
-        record_decision(g, 0, zero_decision(), np.zeros((2, 1, 2)), np.zeros((2, 2)))
+        record_decision(g, 0, zero_decision(), [], np.zeros((2, 2)))
         assert g.joc_volume.sum() == 0 and g.fwd_volume.sum() == 0
 
     def test_joc_volume_is_capacity_times_ratio(self):
         plan = tiny_plan(I=1, K=1)
         state = ChannelState(B=np.array([[600.0]]), C=np.array([[400.0]]))
         g = build_eteg(plan, [state] * 3)
-        d = SlotDecision(
-            observe=np.array([[1]]),
-            transmit=np.zeros((1, 1), dtype=int),
-            rho=np.array([[0.25]]),
-            arrivals=np.array([[150.0]]),
-            service=np.zeros((1, 1, 1)),
-        )
-        record_decision(g, 1, d, np.zeros((1, 1, 1)), np.array([[150.0]]))
+        d = SlotDecision([(0, 0, 0.25, 150.0)], [], (1, 1, 1))
+        record_decision(g, 1, d, [], np.array([[150.0]]))
         assert g.joc_volume[1, 0, 0] == 150.0
         assert g.store_volume[2, 0, 0] == 150.0
 
     def test_shipping_on_invisible_edge_rejected(self):
         plan = tiny_plan(visible=False)
         g = build_eteg(plan, states_for(plan))
-        shipped = np.zeros((2, 1, 2))
-        shipped[0, 0, 0] = 5.0
-        d = zero_decision()
+        d = SlotDecision([], [(0, 0, 0, 5.0)], (2, 2, 1))
         with pytest.raises(ConsistencyError, match="forward edge"):
-            record_decision(g, 0, d, shipped, np.zeros((2, 2)))
+            record_decision(g, 0, d, [5.0], np.zeros((2, 2)))
 
     def test_arrival_on_invisible_edge_rejected(self):
         plan = tiny_plan(visible=False)
         g = build_eteg(plan, states_for(plan))
-        d = zero_decision()
-        arrivals = np.zeros((2, 2))
-        arrivals[1, 0] = 3.0
-        d = SlotDecision(
-            observe=d.observe, transmit=d.transmit, rho=d.rho,
-            arrivals=arrivals, service=d.service,
-        )
+        d = SlotDecision([(0, 1, 0.25, 3.0)], [], (2, 2, 1))
         with pytest.raises(ConsistencyError, match="observation edge"):
-            record_decision(g, 0, d, np.zeros((2, 1, 2)), np.zeros((2, 2)))
+            record_decision(g, 0, d, [], np.zeros((2, 2)))
 
 
 class TestConservation:

@@ -21,26 +21,37 @@ def state(q, p):
     return QueueState(data=np.asarray(q, dtype=float), deficit=np.asarray(p, dtype=float))
 
 
+def triples(volumes):
+    """A dense (K, I) array as ``update_data_queues``'s (k, i, volume)
+    triples, one per queue."""
+    volumes = np.asarray(volumes, dtype=float)
+    return [(k, i, volumes[k, i]) for k, i in np.ndindex(volumes.shape)]
+
+
+def update_dense(queues, arrivals, services):
+    return update_data_queues(queues, triples(arrivals), triples(services))
+
+
 class TestDataQueueUpdate:
     def test_service_exceeds_backlog(self):
-        s = update_data_queues(state([[100.0]], [0.0]), [[30.0]], [[150.0]])
+        s = update_dense(state([[100.0]], [0.0]), [[30.0]], [[150.0]])
         assert s.data[0, 0] == 30.0
 
     def test_partial_drain(self):
-        s = update_data_queues(state([[100.0]], [0.0]), [[0.0]], [[40.0]])
+        s = update_dense(state([[100.0]], [0.0]), [[0.0]], [[40.0]])
         assert s.data[0, 0] == 60.0
 
     def test_idle_fixed_point(self):
         s = state([[12.5, 3.0]], [0.0])
         for _ in range(50):
-            s = update_data_queues(s, np.zeros((1, 2)), np.zeros((1, 2)))
+            s = update_dense(s, np.zeros((1, 2)), np.zeros((1, 2)))
         assert np.array_equal(s.data, [[12.5, 3.0]])
 
     def test_negative_input_rejected(self):
         with pytest.raises(ParameterError):
-            update_data_queues(state([[1.0]], [0.0]), [[-1.0]], [[0.0]])
+            update_dense(state([[1.0]], [0.0]), [[-1.0]], [[0.0]])
         with pytest.raises(ParameterError):
-            update_data_queues(state([[1.0]], [0.0]), [[0.0]], [[-1.0]])
+            update_dense(state([[1.0]], [0.0]), [[0.0]], [[-1.0]])
 
     def test_recursion_matches_reference_loop(self):
         # Elementwise reference recomputation must agree bitwise.
@@ -49,7 +60,7 @@ class TestDataQueueUpdate:
             q = rng.uniform(0, 500, size=(3, 2))
             a = rng.uniform(0, 300, size=(3, 2))
             mu = rng.uniform(0, 400, size=(3, 2))
-            got = update_data_queues(state(q, [0.0, 0.0]), a, mu).data
+            got = update_dense(state(q, [0.0, 0.0]), a, mu).data
             for k in range(3):
                 for i in range(2):
                     assert got[k, i] == max(0.0, q[k, i] - mu[k, i]) + a[k, i]
@@ -91,7 +102,7 @@ class TestQueueProperties:
     @given(queue_slots())
     def test_data_update_drains_then_adds(self, slot):
         data, arrivals, service, deficit, _, _ = slot
-        got = update_data_queues(state(data, deficit), arrivals, service)
+        got = update_dense(state(data, deficit), arrivals, service)
         assert np.array_equal(got.data, np.maximum(data - service, 0.0) + arrivals)
         assert (got.data >= 0).all()
         assert np.array_equal(got.deficit, deficit)
@@ -114,7 +125,7 @@ class TestQueueProperties:
             if which == "flow":
                 update_virtual_queues(state(queue, deficit), flow_arrivals, floors)
             else:
-                update_data_queues(state(queue, deficit), arrivals, service)
+                update_dense(state(queue, deficit), arrivals, service)
 
 
 class TestLyapunov:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,12 +138,9 @@ class TestRun:
 
         def broken(queues, state, config, params):
             d = real(queues, state, config, params)
-            bad = d.transmit.copy()
-            bad[:, 0] = 1  # every satellite to destination 0
-            return type(d)(
-                observe=d.observe, transmit=bad, rho=d.rho,
-                arrivals=d.arrivals, service=d.service,
-            )
+            # Every satellite to destination 0.
+            links = [(k, 0, None, 0.0) for k in range(config.num_eos)]
+            return replace(d, links=links)
 
         monkeypatch.setattr(simulator.dmrc, "dmrc_step", broken)
         with pytest.raises(ScheduleValidationError, match="slot 0"):
@@ -421,7 +419,12 @@ def test_series_read_from_ledger_equal_slot_by_slot_series(model, monkeypatch, p
 
     def spy_record(ledger, t, decision, shipped, stored):
         record(ledger, t, decision, shipped, stored)
-        slots.append([decision.arrivals, shipped, stored.copy()])
+        # The (K, N, I) delivered volume of the links.
+        dense = np.zeros(decision.service.shape)
+        for (k, n, f, _), s in zip(decision.links, shipped):
+            if f is not None:
+                dense[k, n, f] = s
+        slots.append([decision.arrivals, dense, stored.copy()])
 
     def spy_advance(state, flow_arrivals, floors):
         queues = advance(state, flow_arrivals, floors)
