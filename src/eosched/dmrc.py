@@ -134,7 +134,15 @@ class SlotDecision(_PickViews):
 class JosapResult(_PickViews):
     """Observation schedule with compression choices from the dual loop:
     the best iteration's picks over the (I, K) ``shape``, with the dense
-    views ``observe``, ``rho`` and ``arrivals``."""
+    views ``observe``, ``rho`` and ``arrivals``.
+
+    ``converged`` says the loop stopped because no multiplier moved by
+    ``epsilon``; ``certified`` that it had not converged and its best
+    objective reached a bound no iteration can beat
+    (``_objective_bound``), which stops the loop, so a longer loop
+    returns the same picks and objective. A loop certified at its last
+    iteration stops where it would have anyway. ``iterations`` and
+    ``duals`` describe the loop as it stopped."""
 
     picks: list
     shape: tuple[int, int]
@@ -142,6 +150,7 @@ class JosapResult(_PickViews):
     iterations: int
     converged: bool
     duals: np.ndarray     # (I, K) final multipliers
+    certified: bool = False
 
 
 @dataclass(frozen=True)
@@ -223,6 +232,49 @@ def observation_matching(alpha: np.ndarray, B: np.ndarray) -> np.ndarray:
     return x
 
 
+def _objective_bound(tables, pressure, b_vis, stars) -> float:
+    """The largest objective any iteration of ``josap_solve``'s loop can
+    score on a slot whose visible pairs are disjoint or form ``stars``
+    (`_star_forest`), or inf where none is known.
+
+    A pair's gain is the larger of 0 and its best ``term - p * (r * b)``
+    over its ratio table, the float expression the loop adds, so every
+    matched pair adds at most its gain. The exact matching takes every
+    positive gain on a disjoint slot, and each star's top m on a star
+    slot; the bound is its gains summed in row-major order, as the loop
+    sums. Rounded addition is monotone, so an iteration whose pairs all
+    lie in that matching, position by position, scores at most the
+    bound. Any other matching of a star slot falls short of it by at
+    least the star's margin, its m-th gain less the next, which must
+    exceed 1e-9 of the positive gains' sum, far above rounding; where
+    some star's margin does not, and on shared slots (``stars`` None),
+    the bound is inf.
+    """
+    if stars is None:
+        return math.inf
+    gains = []
+    for table, p, b in zip(tables, pressure, b_vis):
+        gain = 0.0
+        for r, term in table:
+            val = term - p * (r * b)
+            gain = val if val > gain else gain
+        gains.append(gain)
+    taken = [g > 0.0 for g in gains]
+    slack = 1e-9 * sum(compress(gains, taken))
+    for m, star in stars:
+        live = sorted((j for j in star if taken[j]), key=gains.__getitem__, reverse=True)
+        if len(live) > m:
+            if gains[live[m - 1]] - gains[live[m]] <= slack:
+                return math.inf
+            for j in live[m:]:
+                taken[j] = False
+    # Added one by one as the loop adds; sum() compensates from Python 3.12.
+    bound = 0.0
+    for g in compress(gains, taken):
+        bound += g
+    return bound
+
+
 def _pair_pressure(Q: np.ndarray, P: np.ndarray) -> np.ndarray:
     """(I, K) marginal cost of admitting volume on each pair: backlog on
     the receiving queue minus that flow's rate-floor deficit credit."""
@@ -246,6 +298,11 @@ def josap_solve(
     scored; the best-scoring one is returned, so an oscillating dual
     still yields a good primal answer. ``converged`` reports whether the
     multiplier change dropped below ``epsilon`` before ``max_iters``.
+    Where the visible pairs are disjoint or stars, a bound computed once
+    from the ratio tables caps every iteration's objective
+    (``_objective_bound``); the loop also stops, ``certified``, once its
+    best objective reaches that bound, which no later iteration can
+    beat, so the picks and objective are those of the full loop.
 
     Only pairs with positive capacity take part. A pair with B == 0 has
     a cap of 0, a free arrival of 0 and a subgradient of 0, so its
@@ -290,8 +347,9 @@ def josap_solve(
     ones = (1,) * B.shape[1]
     stars = _star_forest(rows, cols, ones)
     matrix, pairs = np.zeros(B.shape), list(zip(rows, cols))
+    bound = _objective_bound(tables, pressure, b_vis, stars)
 
-    best_obj, best, converged = -math.inf, None, False
+    best_obj, best, converged, certified = -math.inf, None, False, False
     for l in range(1, params.max_iters + 1):
         matched = [w > 0.0 for w in weights] if stars == [] else None
         if stars:
@@ -341,6 +399,9 @@ def josap_solve(
         if delta < params.epsilon:
             converged = True
             break
+        if best_obj >= bound:
+            certified = True
+            break
 
     duals = np.full_like(B, params.dual_init)
     duals.put(visible, alpha)
@@ -351,6 +412,7 @@ def josap_solve(
         iterations=l,
         converged=converged,
         duals=duals,
+        certified=certified,
     )
 
 
@@ -541,8 +603,10 @@ def validate_decision(
         raise ScheduleValidationError("target observed by more than one satellite")
     if len({k for k, _ in edges}) < len(edges):
         raise ScheduleValidationError("satellite transmits to more than one destination")
-    destinations = [n for _, n in edges]
-    if any(destinations.count(n) > config.transceivers[n] for n in destinations):
+    tally: dict[int, int] = {}
+    for _, n in edges:
+        tally[n] = tally.get(n, 0) + 1
+    if any(count > config.transceivers[n] for n, count in tally.items()):
         raise ScheduleValidationError("destination transceiver limit exceeded")
 
     volumes = [s for _, _, _, s in links]
@@ -562,7 +626,7 @@ def validate_decision(
     # |b| (rtol 1e-5 for the ratios). The allowed ratios are finite and
     # nonnegative. A ratio of 0 is always allowed.
     allowed = config.compression_set + (0.0,)
-    for _, _, r, _ in picks:
+    for r in {r for _, _, r, _ in picks}:
         if r != 0.0 and not any(abs(r - a) <= 1e-12 + 1e-5 * a for a in allowed):
             raise ScheduleValidationError("compression ratio outside the allowed set")
 

@@ -7,6 +7,7 @@ keeping it stable is what enforces the floor in the long-term average.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,12 @@ def update_data_queues(state: QueueState, arrivals, services) -> QueueState:
     ``arrivals`` and ``services`` are ``(k, i, volume)`` triples, at most
     one per queue in each; every other queue keeps its occupancy. Each
     queue becomes ``max(data - service, 0.0) + arrival``, the dense
-    recursion with zero for a queue that has no triple.
+    recursion with zero for a queue that has no triple. A volume that is
+    negative, NaN or infinite is rejected.
     """
-    if any(v < 0 for _, _, v in arrivals) or any(v < 0 for _, _, v in services):
-        raise ParameterError("arrivals and services must be nonnegative")
+    for volumes in (arrivals, services):
+        if not all(0.0 <= v < math.inf for _, _, v in volumes):
+            raise ParameterError("arrivals and services must be finite and nonnegative")
     nxt = state.data.copy()
     for k, i, s in services:
         nxt[k, i] = max(nxt[k, i] - s, 0.0)
@@ -64,10 +67,11 @@ def update_virtual_queues(
     state: QueueState, flow_arrivals: np.ndarray, floors: np.ndarray
 ) -> QueueState:
     """Advance the virtual queues: each grows by its flow's floor and is
-    credited by the flow's realized arrivals, clipped at zero."""
+    credited by the flow's realized arrivals, clipped at zero. An arrival
+    that is negative, NaN or infinite is rejected."""
     flow_arrivals = np.asarray(flow_arrivals, dtype=float)
-    if np.any(flow_arrivals < 0):
-        raise ParameterError("flow arrivals must be nonnegative")
+    if not ((flow_arrivals >= 0) & (flow_arrivals < math.inf)).all():
+        raise ParameterError("flow arrivals must be finite and nonnegative")
     nxt = np.maximum(state.deficit + np.asarray(floors, dtype=float) - flow_arrivals, 0.0)
     return QueueState(data=state.data, deficit=nxt)
 

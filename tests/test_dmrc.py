@@ -329,6 +329,27 @@ def shares_a_target_and_satellite(B):
     return bool(((np.bincount(rows)[rows] > 1) & (np.bincount(cols)[cols] > 1)).any())
 
 
+def assert_matches_reference(res, Q, P, B, cfg, params):
+    """``josap_solve``'s result against ``dense_josap_reference``: the
+    schedule and objective of the full-length loop, bit for bit, and its
+    iterations, convergence and duals where the loop was not certified.
+    A certified loop stopped early, on a slot whose visible pairs are
+    disjoint or stars, so its iterations and duals are those of the
+    reference run with ``max_iters=res.iterations``."""
+    x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
+        Q, P, B, cfg, params
+    )
+    for got, want in ((res.observe, x), (res.rho, rho), (res.arrivals, arrivals)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert res.objective == obj
+    if res.certified:
+        assert not res.converged and not shares_a_target_and_satellite(B)
+        stopped = replace(params, max_iters=res.iterations)
+        *_, iters, converged, duals = dense_josap_reference(Q, P, B, cfg, stopped)
+    assert res.duals.dtype == duals.dtype and res.duals.tobytes() == duals.tobytes()
+    assert (res.iterations, res.converged) == (iters, converged)
+
+
 class TestJosapSolve:
     def test_empty_visibility_converges_immediately(self):
         cfg = make_config(num_targets=2, num_eos=2)
@@ -374,15 +395,7 @@ class TestJosapSolve:
             dual_init=float(rng.choice((0.0, 0.25, 2.0))),
         )
         res = josap_solve(Q, P, B, cfg, params)
-        x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
-            Q, P, B, cfg, params
-        )
-        for got, want in (
-            (res.observe, x), (res.rho, rho), (res.arrivals, arrivals),
-            (res.duals, duals),
-        ):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert (res.objective, res.iterations, res.converged) == (obj, iters, converged)
+        assert_matches_reference(res, Q, P, B, cfg, params)
 
     @settings(max_examples=300, deadline=None)
     @given(josap_slots())
@@ -393,15 +406,7 @@ class TestJosapSolve:
             assert not shares_a_target_and_satellite(B)
         cfg = make_config(num_targets=B.shape[0], num_eos=B.shape[1])
         res = josap_solve(Q, P, B, cfg, params)
-        x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
-            Q, P, B, cfg, params
-        )
-        for got, want in (
-            (res.observe, x), (res.rho, rho), (res.arrivals, arrivals),
-            (res.duals, duals),
-        ):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert (res.objective, res.iterations, res.converged) == (obj, iters, converged)
+        assert_matches_reference(res, Q, P, B, cfg, params)
 
     def test_disjoint_visible_pairs_need_no_matcher_call(self, monkeypatch):
         def no_matcher(*args):
@@ -416,17 +421,14 @@ class TestJosapSolve:
         # targets 1 and 2: stars, whose matchings have a closed form.
         stars = disjoint.copy()
         stars[0, 1] = stars[1, 2] = 800.0
-        x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
-            Q, P, stars, cfg, params
-        )
         monkeypatch.setattr(dmrc, "_assign", no_matcher)
         res = josap_solve(Q, P, disjoint, cfg, params)
         assert res.observe.tolist() == (disjoint > 0).astype(int).tolist()
         josap_solve(Q, P, np.zeros((3, 4)), cfg)
+        # The reference's matchings go through max_weight_assignment,
+        # which the patch of dmrc's name leaves alone.
         res = josap_solve(Q, P, stars, cfg, params)
-        for got, want in ((res.observe, x), (res.rho, rho), (res.duals, duals)):
-            assert got.tobytes() == want.tobytes()
-        assert (res.objective, res.iterations) == (obj, iters)
+        assert_matches_reference(res, Q, P, stars, cfg, params)
         # Pair (0, 2) shares its target with (0, 0) and its satellite
         # with (2, 2): that needs the matcher.
         shared = disjoint.copy()
@@ -441,17 +443,42 @@ class TestJosapSolve:
         cfg = make_config(num_targets=2, num_eos=3)
         Q, P, params = np.zeros((3, 2)), np.zeros(2), SolverParams(dual_init=1.0)
         B = np.array([[600.0, 600.0000000001, 0.0], [0.0, 0.0, 800.0]])
-        x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
-            Q, P, B, cfg, params
-        )
         calls = []
         real = dmrc._assign
         monkeypatch.setattr(dmrc, "_assign", lambda *a: calls.append(1) or real(*a))
         res = josap_solve(Q, P, B, cfg, params)
-        assert 0 < len(calls) < iters
-        for got, want in ((res.observe, x), (res.rho, rho), (res.duals, duals)):
-            assert got.tobytes() == want.tobytes()
-        assert (res.objective, res.iterations) == (obj, iters)
+        # The same near-tie leaves the star without a margin: no certificate.
+        assert 0 < len(calls) < res.iterations and not res.certified
+        assert_matches_reference(res, Q, P, B, cfg, params)
+
+    def test_disjoint_slot_stops_certified_at_the_exact_optimum(self):
+        cfg = make_config(num_targets=2, num_eos=3)
+        Q, P = np.zeros((3, 2)), np.zeros(2)
+        B = np.array([[600.0, 0.0, 0.0], [0.0, 0.0, 800.0]])
+        res = josap_solve(Q, P, B, cfg)
+        assert res.certified and not res.converged
+        assert 1 < res.iterations < SolverParams().max_iters
+        assert res.objective == pytest.approx(josap_exact(Q, P, B, cfg).objective)
+        assert_matches_reference(res, Q, P, B, cfg, SolverParams())
+
+    @pytest.mark.parametrize("q", [250.0, 260.0])
+    def test_star_whose_top_gains_tie_runs_the_full_loop(self, q):
+        # Target 0 sees satellites 0 and 1 at equal capacity. With equal
+        # backlogs their gains tie exactly, so the star has no margin
+        # and the loop runs to its cap, although its best objective
+        # reaches the sum of the top gains; a backlog of 260 on
+        # satellite 1 breaks the tie, and the same schedule certifies.
+        cfg = make_config(num_targets=2, num_eos=3)
+        Q, P = np.array([[250.0, 0.0], [q, 0.0], [0.0, 0.0]]), np.zeros(2)
+        B = np.array([[600.0, 600.0, 0.0], [0.0, 0.0, 800.0]])
+        res = josap_solve(Q, P, B, cfg)
+        assert res.picks == [(0, 0, 0.25, 150.0), (1, 2, 2 / 3, 2 / 3 * 800.0)]
+        assert not res.converged
+        if q == 250.0:
+            assert not res.certified and res.iterations == SolverParams().max_iters
+        else:
+            assert res.certified and res.iterations < SolverParams().max_iters
+        assert_matches_reference(res, Q, P, B, cfg, SolverParams())
 
     @pytest.mark.parametrize(
         "case", ["idle_pressure", "matched_at_ratio_0", "clipped_to_stars", "ratio_set"]
@@ -483,15 +510,7 @@ class TestJosapSolve:
             dmrc, "_assign", lambda *a: shapes.append(a[-1]) or real(*a)
         )
         res = josap_solve(Q, P, B, cfg, params)
-        x, rho, arrivals, obj, iters, converged, duals = dense_josap_reference(
-            Q, P, B, cfg, params
-        )
-        for got, want in (
-            (res.observe, x), (res.rho, rho), (res.arrivals, arrivals),
-            (res.duals, duals),
-        ):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert (res.objective, res.iterations, res.converged) == (obj, iters, converged)
+        assert_matches_reference(res, Q, P, B, cfg, params)
         if case == "idle_pressure":
             assert (Q.T[B > 0] >= cfg.control_factor).any()
         elif case == "matched_at_ratio_0":

@@ -53,6 +53,16 @@ class TestDataQueueUpdate:
         with pytest.raises(ParameterError):
             update_dense(state([[1.0]], [0.0]), [[0.0]], [[-1.0]])
 
+    @pytest.mark.parametrize("volume", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["arrivals", "services"])
+    def test_non_finite_volume_rejected(self, which, volume):
+        # NaN fails every comparison, so a test for v < 0 alone let it
+        # through into the queues, and an infinite arrival too.
+        triple = dict(arrivals=[(0, 0, 1.0)], services=[(0, 0, 1.0)])
+        triple[which] = [(0, 0, 1.0), (0, 1, volume)]
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            update_data_queues(state([[1.0, 2.0]], [0.0]), **triple)
+
     def test_recursion_matches_reference_loop(self):
         # Elementwise reference recomputation must agree bitwise.
         rng = np.random.default_rng(42)
@@ -77,6 +87,11 @@ class TestVirtualQueueUpdate:
         for _ in range(100):
             s = update_virtual_queues(s, [float(rng.uniform(0, 50))], [0.0])
         assert s.deficit[0] == 0.0
+
+    @pytest.mark.parametrize("volume", [np.nan, np.inf, -np.inf])
+    def test_non_finite_flow_arrival_rejected(self, volume):
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            update_virtual_queues(state([[0.0, 0.0]], [0.0, 0.0]), [volume, 1.0], [10.0, 10.0])
 
     def test_floor_met_every_slot_stays_zero(self):
         s = state([[0.0]], [0.0])

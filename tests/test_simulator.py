@@ -19,7 +19,7 @@ from eosched import (
     run,
     sweep_v,
 )
-from eosched import simulator
+from eosched import dmrc, simulator
 from conftest import desk_config, desk_plan, make_config
 
 
@@ -325,6 +325,24 @@ def test_desk_dmrc_trajectory_is_pinned(model):
     assert digest.hexdigest() == (
         "1f5bca0a8aa70e42db5542d1c8db34678eeb5c34a6cdbeae27cf6e56d3bbea01"
     )
+
+
+def test_desk_dmrc_dual_iterations_are_pinned(model, monkeypatch):
+    """The dual loop's iterations over the desk DMRC run of seed 0: 40 on
+    each of its 1,260 slots with a contact and 1 on each of the other
+    180, less what the certified stop saves on the slots whose visible
+    pairs are disjoint or stars. A change that quietly turns the stop
+    off, or loosens it, fails here."""
+    results = []
+    real = dmrc.josap_solve
+    monkeypatch.setattr(
+        dmrc, "josap_solve", lambda *a: results.append(real(*a)) or results[-1]
+    )
+    cfg = desk_config()
+    run(cfg, desk_plan(cfg), model, "dmrc", seed=0)
+    assert len(results) == 1440
+    assert sum(r.iterations for r in results) == 26518
+    assert sum(r.certified for r in results) == 972
 
 
 def test_constellation_dmrc_trajectory_is_pinned(model):
